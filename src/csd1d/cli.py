@@ -10,6 +10,7 @@ config and seed; wall-clock time lives only in meta.json.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import time
@@ -65,8 +66,33 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _spell_non_finite(obj):
+    """obj with non-finite floats written the way the config spells them
+    ("inf", "-inf", "nan"): strict JSON has no token for them."""
+    if isinstance(obj, dict):
+        return {k: _spell_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spell_non_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
+def _history_doc(history: list) -> dict:
+    """Iterate history for report.json: a diverged iteration's non-finite
+    differences become null and set history_non_finite."""
+    entries = [
+        {k: v if math.isfinite(v) else None for k, v in h.items()} for h in history
+    ]
+    non_finite = any(v is None for h in entries for v in h.values())
+    return {"iterate_history": entries, "history_non_finite": non_finite}
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+    text = json.dumps(
+        _spell_non_finite(doc), indent=2, sort_keys=True, default=_json_default, allow_nan=False
+    )
+    _write_text(path, text + "\n")
 
 
 @click.group()
@@ -158,7 +184,7 @@ def solve(config_path):
             "message": str(exc),
             "slab_start": exc.slab_start,
             "norms": exc.norms,
-            "iterate_history": getattr(cause, "history", []),
+            **_history_doc(getattr(cause, "history", [])),
         })
         _write_json(out / "meta.json", _meta(cfg, time.monotonic() - t_start))
         click.echo(f"error: {exc}", err=True)

@@ -18,7 +18,8 @@ class ConvergenceFailureError(RuntimeError):
 
 
 class SlabUnderflowError(RuntimeError):
-    """Automatic slab shrinking hit the single-step floor."""
+    """A slab failed and cannot be shrunk: automatic shrinking hit the
+    single-step floor, or auto_slab is off."""
 
     def __init__(self, message, slab_start=0.0, norms=None):
         super().__init__(message)

@@ -4,10 +4,16 @@ Two backends produce the same trajectories up to second order:
 
 * ``picard_slab`` iterates the integral equations of the successive
   approximation scheme on a time slab with trapezoidal characteristic
-  quadrature, recording the iterate-difference history.  Null couplings
-  start the iteration from (0, 0); the identity coupling uses the
-  scheme whose spinor equation is linear in the new iterate and starts
-  from the initial data.
+  quadrature.  One loop serves every coupling: the gauge update is the
+  characteristic integral of the coupling source, and only the spinor
+  update differs.  Null couplings integrate the spinor sources and start
+  from zero; the identity coupling marches the spinor equation, linear
+  in the new iterate, against the frozen gauge trace and starts from
+  the initial data held constant in time.  Each iteration appends one
+  history entry: ``sup``, the largest change of any field at any grid
+  point and time (NaN once any change is), which decides convergence,
+  and ``weighted``, the proof's bookkeeping metric between the two
+  iterates, reported but not used to decide.
 * ``march`` advances step by step along characteristics.  The gauge
   term is applied as an exact unimodular phase factor, so the modulus
   of a free spinor and the m = 0 charge are preserved to roundoff.
@@ -86,11 +92,25 @@ class State:
         )
 
 
-def _lp(values: np.ndarray, dx: float, p: float) -> float:
-    mag = np.abs(values)
+def _row_lp(mag: np.ndarray, dx: float, p: float):
+    """L^p norm of each row (last axis) of a modulus array."""
     if p == np.inf:
-        return float(mag.max(initial=0.0))
-    return float((mag**p).sum() * dx) ** (1.0 / p)
+        return mag.max(axis=-1, initial=0.0)
+    return ((mag**p).sum(axis=-1) * dx) ** (1.0 / p)
+
+
+def _lp(values: np.ndarray, dx: float, p: float) -> float:
+    return float(_row_lp(np.abs(values), dx, p))
+
+
+def _step_count(name: str, T: float, dt: float, positive: bool = False) -> int:
+    """T / dt as a whole number of steps; ValueError unless T is a
+    multiple (a positive one, if asked) of dt."""
+    steps = int(round(T / dt))
+    if (positive and steps < 1) or not np.isclose(steps * dt, T, rtol=1e-9, atol=1e-12):
+        what = "a positive multiple" if positive else "a multiple"
+        raise ValueError(f"{name}={T} is not {what} of dt={dt}")
+    return steps
 
 
 def initial_size(state: State, p: float | None = None) -> float:
@@ -115,10 +135,7 @@ class SolverConfig:
             raise ValueError("slab_T, picard_tol and max_picard_iters must be positive")
 
     def slab_steps(self, grid: Grid) -> int:
-        steps = int(round(self.slab_T / grid.dt))
-        if steps < 1 or not np.isclose(steps * grid.dt, self.slab_T, rtol=1e-9, atol=1e-12):
-            raise ValueError(f"slab_T={self.slab_T} is not a positive multiple of dt={grid.dt}")
-        return steps
+        return _step_count("slab_T", self.slab_T, grid.dt, positive=True)
 
 
 @dataclass(frozen=True)
@@ -318,9 +335,7 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
     zero and receives the mass coupling of the full spinor.
     """
     grid = initial.grid
-    steps = int(round(T_final / grid.dt))
-    if not np.isclose(steps * grid.dt, T_final, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"T_final={T_final} is not a multiple of dt={grid.dt}")
+    steps = _step_count("T_final", T_final, grid.dt)
     check_containment(grid, steps, *initial.arrays())
     dt = grid.dt
     m, alpha = initial.params.m, initial.params.alpha
@@ -368,15 +383,28 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
 # Picard backend
 
 
-def _characteristic_integral_rows(F_rows: np.ndarray, sign: int, dt: float) -> np.ndarray:
-    """Rows I_i(x) = trapezoid of F along the characteristic reaching
-    (t_i, x); I_0 = 0."""
-    K = F_rows.shape[0] - 1
-    out = np.zeros_like(F_rows)
-    for i in range(1, K + 1):
-        out[i] = shift_values(out[i - 1], sign) + 0.5 * dt * (
-            shift_values(F_rows[i - 1], sign) + F_rows[i]
-        )
+def _characteristic_integral_rows(F_rows: np.ndarray, sign: int, dt: float, base: np.ndarray):
+    """Rows base_i + I_i(x), where I_i is the trapezoid of F along the
+    characteristic reaching (t_i, x) and I_0 = 0.
+
+    Each row is built in place with slices, one row at a time so that
+    the working rows stay in cache.  Every cell receives the same sums
+    as a row-by-row shift; the only missing term, 0.0 in the cell the
+    shift fills, is supplied by the base rows, which are zero there for
+    i >= 1.
+    """
+    dst, src = (np.s_[1:], np.s_[:-1]) if sign > 0 else (np.s_[:-1], np.s_[1:])
+    fill = 0 if sign > 0 else -1
+    out = np.empty_like(F_rows)
+    out[0] = 0.0
+    for i in range(1, out.shape[0]):
+        row = out[i]
+        row[dst] = F_rows[i - 1, src]
+        row[fill] = 0.0
+        row += F_rows[i]
+        np.multiply(0.5 * dt, row, out=row)
+        row[dst] += out[i - 1, src]
+    out += base
     return out
 
 
@@ -388,79 +416,37 @@ def _data_shift_rows(data: np.ndarray, sign: int, K: int) -> np.ndarray:
     return rows
 
 
-def _sup_diff(*pairs) -> float:
-    return max(float(np.abs(new - old).max(initial=0.0)) for new, old in pairs)
+def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
+    """(sup difference, weighted metric) between two Picard iterates.
 
-
-def _weighted_metric(new, old, grid, p) -> float:
-    """The proof's bookkeeping metric: sup-in-time L^p distances of the
-    fields plus weight-3 space-time L^p distances of the quadratic
-    products, summed over both sign choices."""
+    The weighted metric is the proof's bookkeeping metric: sup-in-time
+    L^p distances of the fields plus weight-3 space-time L^p distances
+    of the quadratic products, summed over both sign choices.  Each
+    field difference is formed once; each product difference is formed
+    and dropped before the next.  The sup is NaN when any field
+    difference is, so a diverged iterate never reads as converged.
+    """
+    sups = []
+    weighted = 0.0
+    for a, b in zip(new, old):
+        mag = np.abs(a - b)
+        sups.append(mag.max(initial=0.0))
+        weighted += float(_row_lp(mag, grid.dx, p).max(initial=0.0))
+    del mag
     np_p, np_m, na_p, na_m = new
     op_p, op_m, oa_p, oa_m = old
-    dx, dt = grid.dx, grid.dt
-
-    def sup_lp(diff):
-        mag = np.abs(diff)
-        if p == np.inf:
-            return float(mag.max(initial=0.0))
-        return float((((mag**p).sum(axis=1) * dx) ** (1.0 / p)).max(initial=0.0))
-
-    total = 0.0
-    for d in (np_p - op_p, np_m - op_m, na_p - oa_p, na_m - oa_m):
-        total += sup_lp(d)
-    products = [
-        (np_p * na_m, op_p * oa_m),
-        (np_m * na_p, op_m * oa_p),
-        (np_p * np_m, op_p * op_m),
-        (np_m * np_p, op_m * op_p),
-    ]
-    for a, b in products:
-        total += 3.0 * spacetime_lp_norm(a - b, grid, p)
-    return total
-
-
-def _picard_null(initial: State, steps: int, cfg: SolverConfig):
-    grid = initial.grid
-    dt = grid.dt
-    m, alpha = initial.params.m, initial.params.alpha
-    K = steps
-    n = grid.n_cells
-    data_p, data_m, data_ap, data_am = initial.arrays()
-    base_pp = _data_shift_rows(data_p.astype(complex), +1, K)
-    base_pm = _data_shift_rows(data_m.astype(complex), -1, K)
-    base_ap = _data_shift_rows(data_ap.astype(float), +1, K)
-    base_am = _data_shift_rows(data_am.astype(float), -1, K)
-
-    pp = np.zeros((K + 1, n), complex)
-    pm = np.zeros((K + 1, n), complex)
-    ap = np.zeros((K + 1, n), float)
-    am = np.zeros((K + 1, n), float)
-    history = []
-    # divergence of the fixed-point map is detected, not a numerical bug;
-    # let the iterates overflow quietly and report the history instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_picard_iters):
-            f_pp = 1j * (am * pp) - 1j * m * pm
-            f_pm = 1j * (ap * pm) - 1j * m * pp
-            P = coupling_values(pp, pm, alpha)
-            new_pp = base_pp + _characteristic_integral_rows(f_pp, +1, dt)
-            new_pm = base_pm + _characteristic_integral_rows(f_pm, -1, dt)
-            new_ap = base_ap + _characteristic_integral_rows(-P, +1, dt)
-            new_am = base_am + _characteristic_integral_rows(+P, -1, dt)
-            d_sup = _sup_diff((new_pp, pp), (new_pm, pm), (new_ap, ap), (new_am, am))
-            d_w = _weighted_metric(
-                (new_pp, new_pm, new_ap, new_am), (pp, pm, ap, am), grid, initial.params.p
-            )
-            history.append({"sup": d_sup, "weighted": d_w})
-            pp, pm, ap, am = new_pp, new_pm, new_ap, new_am
-            if d_sup < cfg.picard_tol:
-                return (pp, pm, ap, am), history
-    raise ConvergenceFailureError(
-        f"Picard iteration did not reach {cfg.picard_tol} in "
-        f"{cfg.max_picard_iters} iterations (last diff {history[-1]['sup']:.3e})",
-        history=history,
-    )
+    # both orders of the psi product are kept: complex multiplication is
+    # not bitwise commutative
+    for a, b, c, d in (
+        (np_p, na_m, op_p, oa_m),
+        (np_m, na_p, op_m, oa_p),
+        (np_p, np_m, op_p, op_m),
+        (np_m, np_p, op_m, op_p),
+    ):
+        diff = a * b
+        diff -= c * d
+        weighted += 3.0 * spacetime_lp_norm(diff, grid, p)
+    return float(np.max(sups)), weighted
 
 
 def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
@@ -484,35 +470,50 @@ def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
     return pp, pm
 
 
-def _picard_nonnull(initial: State, steps: int, cfg: SolverConfig):
-    grid = initial.grid
-    dt = grid.dt
-    m = initial.params.m
-    K = steps
+def _picard(initial: State, K: int, cfg: SolverConfig):
+    """Successive approximation on a K-step slab.  Both schemes share
+    the gauge update; the spinor update is the integral map for null
+    couplings and the frozen-gauge linear march for the identity."""
+    dt = initial.grid.dt
+    m, alpha, p = initial.params.m, initial.params.alpha, initial.params.p
     data_p, data_m, data_ap, data_am = initial.arrays()
-    base_ap = _data_shift_rows(data_ap.astype(float), +1, K)
-    base_am = _data_shift_rows(data_am.astype(float), -1, K)
+    base_ap = _data_shift_rows(data_ap, +1, K)
+    base_am = _data_shift_rows(data_am, -1, K)
+    if alpha.is_null:
+        base_pp = _data_shift_rows(data_p, +1, K)
+        base_pm = _data_shift_rows(data_m, -1, K)
+        it = tuple(np.zeros((K + 1,) + v.shape, v.dtype) for v in initial.arrays())
+    else:
+        # first iterate: data held constant in time
+        it = tuple(np.tile(v, (K + 1, 1)) for v in initial.arrays())
 
-    # first iterate: data held constant in time
-    pp = np.tile(data_p.astype(complex), (K + 1, 1))
-    pm = np.tile(data_m.astype(complex), (K + 1, 1))
-    ap = np.tile(data_ap.astype(float), (K + 1, 1))
-    am = np.tile(data_am.astype(float), (K + 1, 1))
+    def spinor_update(pp, pm, ap, am):
+        if not alpha.is_null:
+            return _inner_linear_march(data_p, data_m, ap, am, m, dt, K)
+        f_pp = 1j * (am * pp) - 1j * m * pm
+        f_pm = 1j * (ap * pm) - 1j * m * pp
+        return (
+            _characteristic_integral_rows(f_pp, +1, dt, base_pp),
+            _characteristic_integral_rows(f_pm, -1, dt, base_pm),
+        )
+
     history = []
+    # divergence of the fixed-point map is detected, not a numerical bug;
+    # let the iterates overflow quietly and report the history instead
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_picard_iters):
-            P = 0.5 * (np.abs(pp) ** 2 + np.abs(pm) ** 2)
-            new_ap = base_ap + _characteristic_integral_rows(-P, +1, dt)
-            new_am = base_am + _characteristic_integral_rows(+P, -1, dt)
-            new_pp, new_pm = _inner_linear_march(data_p, data_m, ap, am, m, dt, K)
-            d_sup = _sup_diff((new_pp, pp), (new_pm, pm), (new_ap, ap), (new_am, am))
-            d_w = _weighted_metric(
-                (new_pp, new_pm, new_ap, new_am), (pp, pm, ap, am), grid, initial.params.p
+            P = coupling_values(it[0], it[1], alpha)
+            new = (
+                *spinor_update(*it),
+                _characteristic_integral_rows(-P, +1, dt, base_ap),
+                _characteristic_integral_rows(P, -1, dt, base_am),
             )
+            del P
+            d_sup, d_w = _iterate_distance(new, it, initial.grid, p)
             history.append({"sup": d_sup, "weighted": d_w})
-            pp, pm, ap, am = new_pp, new_pm, new_ap, new_am
+            it = new
             if d_sup < cfg.picard_tol:
-                return (pp, pm, ap, am), history
+                return it, history
     raise ConvergenceFailureError(
         f"Picard iteration did not reach {cfg.picard_tol} in "
         f"{cfg.max_picard_iters} iterations (last diff {history[-1]['sup']:.3e})",
@@ -530,10 +531,7 @@ def picard_slab(initial: State, cfg: SolverConfig, steps: int | None = None):
     if steps is None:
         steps = cfg.slab_steps(grid)
     check_containment(grid, steps, *initial.arrays())
-    if initial.params.alpha.is_null:
-        (pp, pm, ap, am), history = _picard_null(initial, steps, cfg)
-    else:
-        (pp, pm, ap, am), history = _picard_nonnull(initial, steps, cfg)
+    (pp, pm, ap, am), history = _picard(initial, steps, cfg)
     traj = Trajectory(grid, initial.params, initial.t, pp, pm, ap, am, slab_histories=[history])
     return traj, history
 
@@ -558,9 +556,7 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
     the role of the implicit smallness-of-T condition.
     """
     grid = initial.grid
-    total_steps = int(round(T_final / grid.dt))
-    if not np.isclose(total_steps * grid.dt, T_final, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"T_final={T_final} is not a multiple of dt={grid.dt}")
+    total_steps = _step_count("T_final", T_final, grid.dt)
     if cfg.backend == "march":
         return march(initial, total_steps)
 
@@ -583,8 +579,13 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
                         ("psi_plus", "psi_minus", "a_plus", "a_minus"), cur.arrays()
                     )
                 }
+                where = (
+                    "at the single-step floor"
+                    if k <= 1
+                    else f"with a {k}-step slab and auto_slab off"
+                )
                 raise SlabUnderflowError(
-                    f"slab starting at t={cur.t:.6g} failed at the single-step floor: {exc}",
+                    f"slab starting at t={cur.t:.6g} failed {where}: {exc}",
                     slab_start=cur.t,
                     norms=norms,
                 ) from exc
@@ -613,9 +614,5 @@ def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -
     num = 0.0
     for name in ("psi_plus", "psi_minus", "a_plus", "a_minus"):
         diff = traj_a.field_traces()[name] - traj_b.field_traces()[name]
-        if p == np.inf:
-            per_t = np.abs(diff).max(axis=1, initial=0.0)
-        else:
-            per_t = ((np.abs(diff) ** p).sum(axis=1) * dx) ** (1.0 / p)
-        num += float(per_t.max(initial=0.0))
+        num += float(_row_lp(np.abs(diff), dx, p).max(initial=0.0))
     return num / denom

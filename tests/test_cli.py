@@ -27,6 +27,15 @@ def base_config(out_dir, **over):
     return doc
 
 
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN/Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -122,9 +131,21 @@ def test_solve_convergence_failure_exit_3_writes_report(tmp_path):
     doc["solver"] = {"auto_slab": False}
     result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
     assert result.exit_code == 3
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json((out / "report.json").read_text())
     assert report["status"] == "convergence_failure"
     assert report["iterate_history"]
+    assert report["history_non_finite"] is True
+    assert any(v is None for h in report["iterate_history"] for v in h.values())
+
+
+def test_solve_p_inf_writes_strict_json(tmp_path):
+    out = tmp_path / "o"
+    doc = base_config(out)
+    doc["model"]["p"] = "inf"
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 0, result.output
+    report = strict_json((out / "report.json").read_text())
+    assert report["checks"]["envelope"]["metadata"]["p"] == "inf"
 
 
 def test_solve_deterministic_artifacts(tmp_path):

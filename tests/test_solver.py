@@ -20,7 +20,7 @@ from csd1d import (
     make_grid,
 )
 from csd1d.lattice import shift_values
-from csd1d.solver import contraction_ratios, measured_contraction
+from csd1d.solver import _iterate_distance, contraction_ratios, measured_contraction
 
 from conftest import bump_state
 
@@ -200,6 +200,32 @@ def test_slab_underflow_reports_norms(grid):
     err = exc_info.value
     assert err.slab_start == pytest.approx(0.0)
     assert set(err.norms) == {"psi_plus", "psi_minus", "a_plus", "a_minus"}
+    assert "single-step floor" in str(err)
+
+
+def test_slab_failure_without_auto_slab_names_the_slab(grid):
+    # the slab is 8 steps long, not at the floor: the message must say so
+    params = ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=1.0)
+    s = bump_state(grid, params, seed=15)
+    s = scale_state(s, 1e6 / initial_size(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SlabUnderflowError) as exc_info:
+            solve_global(s, 0.25, SolverConfig(slab_T=0.25, auto_slab=False))
+    msg = str(exc_info.value)
+    assert "single-step floor" not in msg
+    assert "8-step slab" in msg and "auto_slab off" in msg
+
+
+def test_iterate_distance_nan_in_last_field_is_not_converged():
+    # a running max(0.0, nan) is 0.0: the NaN must not be dropped
+    grid = make_grid(-1.0, 1.0, 8)
+    new = [np.zeros((3, 8), complex), np.zeros((3, 8), complex), np.zeros((3, 8)), np.zeros((3, 8))]
+    old = [a.copy() for a in new]
+    new[3][1, 4] = np.nan
+    for p in (1.0, 2.0, np.inf):
+        d_sup, _ = _iterate_distance(new, old, grid, p)
+        assert not np.isfinite(d_sup)
+        assert not d_sup < 1e-12
 
 
 def test_decomposition_sums_to_march(grid):
