@@ -229,7 +229,8 @@ def solve(config_path):
 @click.option("--seed", default=0, show_default=True, help="Base seed for all trials.")
 @click.option("--out", "out_dir", default="verify_out", show_default=True)
 @click.option("--large-m", is_flag=True,
-              help="Contraction suite only: oversized data, expected to fail.")
+              help="Oversized data for the contraction suite, also within "
+                   "'all'; expected to fail.")
 def verify(suite, seed, out_dir, large_m):
     """Run a seeded verification suite and write one CSV row per trial.
 

@@ -137,10 +137,20 @@ class RunConfig:
         _require_keys(r, "run", ("T_final",), ("checks", "seed", "window_r"))
         if not isinstance(r["T_final"], (int, float)) or r["T_final"] <= 0:
             raise ConfigError("run.T_final must be a positive number")
+        if not isinstance(r["checks"], list):
+            raise ConfigError("run.checks must be a list of check names")
         checks = tuple(r["checks"])
         for c in checks:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"run.checks: unknown check {c!r}")
+        window_r = r["window_r"]
+        if window_r is not None and not (
+            isinstance(window_r, (int, float)) and not isinstance(window_r, bool)
+            and grid.dx <= window_r < np.inf
+        ):
+            raise ConfigError(
+                f"run.window_r must be a number >= dx={grid.dx:g}, got {window_r!r}"
+            )
 
         o = {**DEFAULTS["output"], **doc.get("output", {})}
         _require_keys(o, "output", (), tuple(DEFAULTS["output"]))
@@ -152,8 +162,8 @@ class RunConfig:
         return cls(
             grid=grid, params=params, data=data, solver=solver,
             T_final=float(r["T_final"]), checks=checks, seed=int(r["seed"]),
-            window_r=r["window_r"], out_dir=str(o["directory"]),
-            formats=formats, raw=doc,
+            window_r=None if window_r is None else float(window_r),
+            out_dir=str(o["directory"]), formats=formats, raw=doc,
         )
 
 

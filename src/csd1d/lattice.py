@@ -133,10 +133,12 @@ def shift_values(values: np.ndarray, k: int, fill=0.0) -> np.ndarray:
     n = len(values)
     if abs(k) > n:
         raise ValueError(f"|shift| {abs(k)} exceeds n_cells {n}")
-    out = np.full_like(values, fill)
+    out = np.empty_like(values)
     if k >= 0:
+        out[:k] = fill
         out[k:] = values[: n - k]
     else:
+        out[n + k :] = fill
         out[: n + k] = values[-k:]
     return out
 

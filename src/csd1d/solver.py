@@ -267,28 +267,24 @@ class DecomposedTrajectory:
 
 def _march_phases(ap, am, P, dt):
     """Trapezoidal averages of the gauge fields along the incoming
-    characteristics, as unimodular factors."""
-    sap = shift_values(ap, +1)
-    sam = shift_values(am, -1)
-    ap_pred = sap - dt * shift_values(P, +1)
-    am_pred = sam + dt * shift_values(P, -1)
-    phase_p = np.exp(1j * dt * 0.5 * (sam_foot(am) + am_pred))
-    phase_m = np.exp(1j * dt * 0.5 * (sap_foot(ap) + ap_pred))
-    return phase_p, phase_m, sap, sam
+    characteristics, as unimodular factors, and the gauge update that
+    completes the step from the new coupling source.  Each shifted array
+    is formed once and serves both."""
+    sap, sam = shift_values(ap, +1), shift_values(am, -1)
+    sPp, sPm = shift_values(P, +1), shift_values(P, -1)
+    # A_-+ at the foot of the +- characteristic, one cell to the left/right
+    phase_p = np.exp(1j * dt * 0.5 * (shift_values(am, +1) + (sam + dt * sPm)))
+    phase_m = np.exp(1j * dt * 0.5 * (shift_values(ap, -1) + (sap - dt * sPp)))
 
+    def gauge_update(P_new):
+        return sap - 0.5 * dt * (sPp + P_new), sam + 0.5 * dt * (sPm + P_new)
 
-def sam_foot(am):
-    # A_- at the foot of the + characteristic, one cell to the left
-    return shift_values(am, +1)
-
-
-def sap_foot(ap):
-    return shift_values(ap, -1)
+    return phase_p, phase_m, gauge_update
 
 
 def _march_step(pp, pm, ap, am, m, alpha, dt):
     P = coupling_values(pp, pm, alpha)
-    phase_p, phase_m, sap, sam = _march_phases(ap, am, P, dt)
+    phase_p, phase_m, gauge_update = _march_phases(ap, am, P, dt)
     sp = shift_values(pp, +1)
     sm = shift_values(pm, -1)
     if m == 0.0:
@@ -301,10 +297,7 @@ def _march_step(pp, pm, ap, am, m, alpha, dt):
         pm_pred = phase_m * sm - 1j * m * dt * foot_p
         pp_new = phase_p * (sp - 1j * m * 0.5 * dt * foot_m) - 1j * m * 0.5 * dt * pm_pred
         pm_new = phase_m * (sm - 1j * m * 0.5 * dt * foot_p) - 1j * m * 0.5 * dt * pp_pred
-    P_new = coupling_values(pp_new, pm_new, alpha)
-    ap_new = shift_values(ap, +1) - 0.5 * dt * (shift_values(P, +1) + P_new)
-    am_new = shift_values(am, -1) + 0.5 * dt * (shift_values(P, -1) + P_new)
-    return pp_new, pm_new, ap_new, am_new
+    return pp_new, pm_new, *gauge_update(coupling_values(pp_new, pm_new, alpha))
 
 
 def march(initial: State, steps: int) -> Trajectory:
@@ -354,7 +347,7 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
         pp_tot = lp[i] + np_[i]
         pm_tot = lm[i] + nm[i]
         P = coupling_values(pp_tot, pm_tot, alpha)
-        phase_p, phase_m, _, _ = _march_phases(ap[i], am[i], P, dt)
+        phase_p, phase_m, gauge_update = _march_phases(ap[i], am[i], P, dt)
         lp[i + 1] = phase_p * shift_values(lp[i], +1)
         lm[i + 1] = phase_m * shift_values(lm[i], -1)
         if m == 0.0:
@@ -373,9 +366,9 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
                 phase_m * (shift_values(nm[i], -1) - 1j * m * 0.5 * dt * foot_p)
                 - 1j * m * 0.5 * dt * pp_pred
             )
-        P_new = coupling_values(lp[i + 1] + np_[i + 1], lm[i + 1] + nm[i + 1], alpha)
-        ap[i + 1] = shift_values(ap[i], +1) - 0.5 * dt * (shift_values(P, +1) + P_new)
-        am[i + 1] = shift_values(am[i], -1) + 0.5 * dt * (shift_values(P, -1) + P_new)
+        ap[i + 1], am[i + 1] = gauge_update(
+            coupling_values(lp[i + 1] + np_[i + 1], lm[i + 1] + nm[i + 1], alpha)
+        )
     return DecomposedTrajectory(grid, initial.params, initial.t, lp, lm, np_, nm, ap, am)
 
 
@@ -460,8 +453,8 @@ def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
     for i in range(K):
         f_p = 1j * am_trace[i] * pp[i] - 1j * m * pm[i]
         f_m = 1j * ap_trace[i] * pm[i] - 1j * m * pp[i]
-        b_p = shift_values(pp[i], +1) + 0.5 * dt * shift_values(f_p, +1)
-        b_m = shift_values(pm[i], -1) + 0.5 * dt * shift_values(f_m, -1)
+        b_p = shift_values(pp[i] + 0.5 * dt * f_p, +1)
+        b_m = shift_values(pm[i] + 0.5 * dt * f_m, -1)
         a11 = 1.0 - 0.5j * dt * am_trace[i + 1]
         a22 = 1.0 - 0.5j * dt * ap_trace[i + 1]
         det = a11 * a22 - c * c

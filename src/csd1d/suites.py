@@ -8,9 +8,6 @@ always-pass check is caught.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .diagnostics import (
@@ -257,31 +254,14 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("CSD1D_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def run_suite(name: str, seed: int, large_m: bool = False) -> list[dict]:
-    """All rows of one suite (or of every suite for "all"), in a
-    deterministic trial order regardless of thread count."""
+    """All rows of one suite (or of every suite for "all"), trial by
+    trial in trial order.  ``large_m`` switches the contraction suite to
+    oversized data, also inside "all"."""
     if name == "all":
-        rows = []
-        for sub in _SUITES:
-            rows.extend(run_suite(sub, seed))
-        return rows
+        return [row for sub in _SUITES for row in run_suite(sub, seed, large_m)]
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn, n_trials = _SUITES[name]
-    if name == "contraction":
-        work = [lambda t=t: fn(t, seed, large_m) for t in range(n_trials)]
-    else:
-        work = [lambda t=t: fn(t, seed) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda f: f(), work))
-    rows = []
-    for per_trial in results:
-        rows.extend(per_trial)
-    return rows
+    extra = (large_m,) if name == "contraction" else ()
+    return [row for t in range(n_trials) for row in fn(t, seed, *extra)]

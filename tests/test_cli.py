@@ -187,6 +187,36 @@ def test_verify_contraction_large_m_fails(tmp_path):
     assert "false" in text
 
 
+def test_verify_all_honors_large_m(tmp_path):
+    result = CliRunner().invoke(
+        main, ["verify", "all", "--seed", "3", "--large-m", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 1
+    lines = (tmp_path / "all.csv").read_text().splitlines()
+    ratios = [line for line in lines if line.startswith("contraction_ratio,")]
+    assert len(ratios) == 10
+    assert all(line.endswith(",false") for line in ratios)
+
+
+@pytest.mark.parametrize("window_r", ["big", 0.01])
+def test_solve_bad_window_r_exit_2(tmp_path, window_r):
+    out = tmp_path / "o"
+    doc = base_config(out)
+    doc["run"] = {"T_final": 0.5, "checks": ["concentration"], "window_r": window_r}
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    assert "run.window_r" in result.output
+    assert not out.exists()
+
+
+def test_solve_string_checks_exit_2(tmp_path):
+    doc = base_config(tmp_path / "o")
+    doc["run"]["checks"] = "charge"
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    assert "run.checks must be a list" in result.output
+
+
 def test_convergence_levels_validation(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "o"))
     result = CliRunner().invoke(main, ["convergence", path, "--levels", "2"])
