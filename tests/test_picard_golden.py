@@ -6,30 +6,49 @@
 * March: solve_global on the march backend and solve_decomposed at
   n=256, T=1 for every coupling and m in {0, 1} must reproduce the
   recorded trajectory bytes exactly.
+* Transport: solve_transport with a source trace, for both signs and
+  for real, complex and mixed (real data, complex source) inputs, must
+  reproduce the recorded trace bytes (SHA-256 pinned below).
+* CLI: `csd1d solve` of configs/gaussian_null.json at n=128 with all
+  five checks, on both backends, must write the recorded
+  trajectory.csv bytes and the recorded `checks` block of report.json
+  (SHA-256 pinned below).
 
 The Picard reference was recorded before the single-loop Picard
 rewrite, the march reference before the march kernels were changed to
-form each shifted array once.  Regenerate them only for a change that
-is meant to alter the output:
+form each shifted array once, and the transport and CLI pins before the
+Lp norms, the characteristic recursion and the march spinor step were
+each reduced to one kernel.  Regenerate them only for a change that is
+meant to alter the output; this rewrites the two JSON files and prints
+the inline pins:
 
     PYTHONPATH=src:tests python tests/test_picard_golden.py
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from csd1d import (
+    ComplexField,
     CouplingKind,
+    DataSpec,
     ModelParams,
+    RealField,
     SolverConfig,
+    SourceTrace,
+    generate_data,
     make_grid,
     solve_decomposed,
     solve_global,
+    solve_transport,
 )
+from csd1d.cli import main
 
 from conftest import bump_state
 
@@ -37,6 +56,28 @@ GOLDEN = Path(__file__).parent / "data" / "picard_golden.json"
 MARCH_GOLDEN = Path(__file__).parent / "data" / "march_golden.json"
 CASES = [(kind, p) for kind in CouplingKind for p in (1.0, 2.0, np.inf)]
 MARCH_CASES = [(kind, m) for kind in CouplingKind for m in (0.0, 1.0)]
+CONFIG = Path(__file__).parents[1] / "configs" / "gaussian_null.json"
+TRANSPORT_GOLDEN = {
+    "plus-real": "4e6c7b03beceeb2798b4cbbbaa2d7bfa93063a04ff97075114484238473c24c0",
+    "plus-complex": "8be1a45c5fe85be817bb27f08b71aee2d6c0d4f12ac227a09c545af5553fc1a9",
+    "plus-mixed": "947fb97cac9a03b106f9fb671d71c611e23a1d3de154beced48e36e6c3ea96b7",
+    "minus-real": "1539ef15a5191e05e97a3b58330832e2bd3322ed7b04d9332c8b4ca09a49a16c",
+    "minus-complex": "c0b0ad741f23c9569e9349086f2c5111b2778e5c434f44541a5a80b6ecbf637c",
+    "minus-mixed": "3b687cc309ba22ad1c6d6aea467e3ce2295f8e9c4ce29a85f6d74c6a625cfd6b",
+}
+# the march run fails its charge check at this resolution (exit 1)
+SOLVE_GOLDEN = {
+    "picard": {
+        "exit_code": 0,
+        "trajectory.csv": "e908a8995a3c27ba70d1b384ab0181d8aeda6bb5750ab5b7576ea5a69ea017f3",
+        "checks": "7f2695c88009d3ad85c021f90bcf835b04f3e3b2788dd081e7eeb6529c7e9bce",
+    },
+    "march": {
+        "exit_code": 1,
+        "trajectory.csv": "112ac20eb73b52f35bc7d5315fd04280557f76345a808cb601f1e80e9b751fd0",
+        "checks": "a90bc76b614f394bfbdd323b16755afc205d9a0a76d74ac34cebd2f2e20f970f",
+    },
+}
 DECOMPOSED_FIELDS = (
     "psi_l_plus", "psi_l_minus", "psi_n_plus", "psi_n_minus", "a_plus", "a_minus"
 )
@@ -80,6 +121,54 @@ def _run_march_case(kind, m) -> dict:
     }
 
 
+def _bumps(grid, seed, width):
+    spec = DataSpec(kind="random_bumps", width=width, amplitude=1.0, seed=seed, spread=3.0)
+    return generate_data(spec, grid).values
+
+
+def _run_transport_case(key) -> str:
+    sign_name, data = key.split("-")
+    grid = make_grid(-8.0, 8.0, 256)
+    steps = 24
+    u0 = _bumps(grid, 21, 0.7)
+    g = _bumps(grid, 22, 0.6)
+    h = np.cos(2.5 * np.arange(steps + 1) * grid.dt + 0.3)
+    F = h[:, None] * g[None, :]
+    u0 = ComplexField(grid, u0) if data == "complex" else RealField(grid, u0.real)
+    F = F.real if data == "real" else F
+    sign = +1 if sign_name == "plus" else -1
+    trace = solve_transport(u0, SourceTrace(grid, F), sign, steps)
+    return _sha256({"trace": trace})["trace"]
+
+
+def _run_solve_case(tmp_path, backend) -> dict:
+    doc = json.loads(CONFIG.read_text())
+    doc["grid"]["n_cells"] = 128
+    doc["solver"]["backend"] = backend
+    doc["output"]["directory"] = str(tmp_path / backend)
+    path = tmp_path / f"{backend}.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["solve", str(path)])
+    out = tmp_path / backend
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert sorted(checks) == ["bilinear", "charge", "concentration", "envelope", "intrinsic"]
+    return {
+        "exit_code": result.exit_code,
+        "trajectory.csv": hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest(),
+        "checks": hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("key", list(TRANSPORT_GOLDEN))
+def test_transport_matches_golden(key):
+    assert _run_transport_case(key) == TRANSPORT_GOLDEN[key]
+
+
+@pytest.mark.parametrize("backend", list(SOLVE_GOLDEN))
+def test_solve_artifacts_match_golden(tmp_path, backend):
+    assert _run_solve_case(tmp_path, backend) == SOLVE_GOLDEN[backend]
+
+
 @pytest.mark.parametrize("kind,p", CASES, ids=[_case_key(k, p) for k, p in CASES])
 def test_picard_matches_golden(kind, p):
     expected = json.loads(GOLDEN.read_text())[_case_key(kind, p)]
@@ -103,3 +192,6 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     doc = {_march_key(k, m): _run_march_case(k, m) for k, m in MARCH_CASES}
     MARCH_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print({key: _run_transport_case(key) for key in TRANSPORT_GOLDEN})
+    with tempfile.TemporaryDirectory() as tmp:
+        print({b: _run_solve_case(Path(tmp), b) for b in SOLVE_GOLDEN})
