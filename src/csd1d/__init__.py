@@ -41,7 +41,6 @@ from .solver import (
 from .transport import (
     SourceTrace,
     bilinear_bound_check,
-    masked_bilinear_check,
     solve_transport,
     spacetime_lp_norm,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "solve_global",
     "SourceTrace",
     "bilinear_bound_check",
-    "masked_bilinear_check",
     "solve_transport",
     "spacetime_lp_norm",
     "charge_series",

@@ -132,24 +132,29 @@ def _trajectory_rows(traj, p):
 
 
 def _run_checks(cfg: RunConfig, state, traj) -> dict:
+    """Report of each configured check; a ValueError names the check
+    that could not be evaluated."""
     p = cfg.params.p
     out = {}
     for check in cfg.checks:
-        if check == "charge":
-            _, rep = charge_series(traj)
-        elif check == "intrinsic":
-            dtraj = solve_decomposed(state, cfg.T_final, cfg.solver)
-            rep = intrinsic_bound_report(dtraj, p)
-        elif check == "envelope":
-            rep = corollary_envelope_report(traj, p)
-        elif check == "concentration":
-            r = cfg.window_r if cfg.window_r is not None else 16 * cfg.grid.dx
-            _, rep = concentration_monitor(traj, float(r), initial=state)
-        else:  # bilinear
-            f_p, f_m = traj.psi_source_traces()
-            rep = bilinear_bound_check(
-                state.psi_plus, state.psi_minus, f_p, f_m, p, cfg.T_final
-            )
+        try:
+            if check == "charge":
+                _, rep = charge_series(traj)
+            elif check == "intrinsic":
+                dtraj = solve_decomposed(state, cfg.T_final, cfg.solver)
+                rep = intrinsic_bound_report(dtraj, p)
+            elif check == "envelope":
+                rep = corollary_envelope_report(traj, p)
+            elif check == "concentration":
+                r = cfg.window_r if cfg.window_r is not None else 16 * cfg.grid.dx
+                _, rep = concentration_monitor(traj, float(r), initial=state)
+            else:  # bilinear
+                f_p, f_m = traj.psi_source_traces()
+                rep = bilinear_bound_check(
+                    state.psi_plus, state.psi_minus, f_p, f_m, p, cfg.T_final
+                )
+        except ValueError as exc:
+            raise ValueError(f"check {check!r}: {exc}") from None
         out[check] = rep.as_dict()
     return out
 
@@ -197,10 +202,15 @@ def solve(config_path):
         sys.exit(2)
 
     try:
-        checks = _run_checks(cfg, state, traj)
+        # an overflow surfaces as a non-finite report value, which is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = _run_checks(cfg, state, traj)
     except DomainOverflowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(4)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     wall = time.monotonic() - t_start
 
     if "csv" in cfg.formats:

@@ -26,7 +26,7 @@ DEFAULTS = {
         "max_picard_iters": 50,
         "auto_slab": True,
     },
-    "run": {"checks": ["charge"], "seed": 0, "window_r": None},
+    "run": {"checks": ["charge"], "window_r": None},
     "output": {"directory": "out", "formats": ["csv", "json"]},
 }
 
@@ -48,6 +48,10 @@ def _require_keys(section: dict, path: str, required: tuple, optional: tuple = (
     for key in required:
         if key not in section:
             raise ConfigError(f"missing key {path}.{key}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_p(value, path: str) -> float:
@@ -84,7 +88,6 @@ class RunConfig:
     solver: SolverConfig
     T_final: float
     checks: tuple
-    seed: int
     window_r: float | None
     out_dir: str
     formats: tuple
@@ -110,7 +113,7 @@ class RunConfig:
             raise ConfigError(
                 f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {mdl['alpha']!r}"
             )
-        if not isinstance(mdl["m"], (int, float)) or mdl["m"] < 0:
+        if not _is_number(mdl["m"]) or mdl["m"] < 0:
             raise ConfigError("model.m must be a number >= 0")
         params = ModelParams(
             alpha=_ALPHA_NAMES[mdl["alpha"]], m=float(mdl["m"]),
@@ -134,8 +137,8 @@ class RunConfig:
             raise ConfigError(f"solver: {exc}") from None
 
         r = {**DEFAULTS["run"], **doc["run"]}
-        _require_keys(r, "run", ("T_final",), ("checks", "seed", "window_r"))
-        if not isinstance(r["T_final"], (int, float)) or r["T_final"] <= 0:
+        _require_keys(r, "run", ("T_final",), ("checks", "window_r"))
+        if not _is_number(r["T_final"]) or r["T_final"] <= 0:
             raise ConfigError("run.T_final must be a positive number")
         if not isinstance(r["checks"], list):
             raise ConfigError("run.checks must be a list of check names")
@@ -144,16 +147,15 @@ class RunConfig:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"run.checks: unknown check {c!r}")
         window_r = r["window_r"]
-        if window_r is not None and not (
-            isinstance(window_r, (int, float)) and not isinstance(window_r, bool)
-            and grid.dx <= window_r < np.inf
-        ):
+        if window_r is not None and not (_is_number(window_r) and grid.dx <= window_r < np.inf):
             raise ConfigError(
                 f"run.window_r must be a number >= dx={grid.dx:g}, got {window_r!r}"
             )
 
         o = {**DEFAULTS["output"], **doc.get("output", {})}
         _require_keys(o, "output", (), tuple(DEFAULTS["output"]))
+        if not isinstance(o["formats"], list):
+            raise ConfigError("output.formats must be a list of format names")
         formats = tuple(o["formats"])
         for f in formats:
             if f not in ("csv", "json"):
@@ -161,7 +163,7 @@ class RunConfig:
 
         return cls(
             grid=grid, params=params, data=data, solver=solver,
-            T_final=float(r["T_final"]), checks=checks, seed=int(r["seed"]),
+            T_final=float(r["T_final"]), checks=checks,
             window_r=None if window_r is None else float(window_r),
             out_dir=str(o["directory"]), formats=formats, raw=doc,
         )

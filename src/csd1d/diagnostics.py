@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import ComplexField, Grid, RealField, TriangleMask, window_kernel
-from .physics import ModelParams
-from .report import DiagnosticReport
+from .lattice import Grid, TriangleMask, lp_norm, row_lp, window_kernel
+from .report import EXACT_TOL, RELATIVE_SLACK, DiagnosticReport
 from .solver import (
     DecomposedTrajectory,
     SolverConfig,
@@ -35,9 +34,6 @@ __all__ = [
     "scaling_check",
     "corollary_envelope_report",
 ]
-
-EXACT_TOL = 1e-12
-RELATIVE_SLACK = 1e-3
 
 
 def charge_series(
@@ -72,13 +68,6 @@ def charge_series(
     )
 
 
-def _trace_lp(trace: np.ndarray, dx: float, p: float) -> np.ndarray:
-    mag = np.abs(trace)
-    if p == np.inf:
-        return mag.max(axis=1, initial=0.0)
-    return ((mag**p).sum(axis=1) * dx) ** (1.0 / p)
-
-
 def intrinsic_bound_report(dtraj: DecomposedTrajectory, p: float) -> DiagnosticReport:
     """Nonlinear-part bound m(||psi_+0||_p + ||psi_-0||_p)(e^{mt}+t-1),
     with the left side measured in both L^p and L^inf."""
@@ -87,10 +76,11 @@ def intrinsic_bound_report(dtraj: DecomposedTrajectory, p: float) -> DiagnosticR
     t = dtraj.times - dtraj.times[0]
     lhs_t = np.zeros(len(t))
     for trace in (dtraj.psi_n_plus, dtraj.psi_n_minus):
-        lhs_t += np.maximum(_trace_lp(trace, dx, p), _trace_lp(trace, dx, np.inf))
-    data_norm = _trace_lp(dtraj.psi_l_plus[:1], dx, p)[0] + _trace_lp(
-        dtraj.psi_l_minus[:1], dx, p
-    )[0]
+        mag = np.abs(trace)
+        lhs_t += np.maximum(row_lp(mag, dx, p), row_lp(mag, dx, np.inf))
+    data_norm = row_lp(np.abs(dtraj.psi_l_plus[0]), dx, p) + row_lp(
+        np.abs(dtraj.psi_l_minus[0]), dx, p
+    )
     rhs_t = m * data_norm * (np.exp(m * t) + t - 1.0)
     worst = int(np.argmax(lhs_t - rhs_t))
     rhs_max = float(rhs_t.max(initial=0.0))
@@ -195,23 +185,19 @@ def concentration_monitor(
     )
 
     init = initial if initial is not None else traj.state_at(0)
-    dx = grid.dx
     m = traj.params.m
     T = float(traj.times[-1] - traj.times[0])
 
     def w0(values):
         return float(np.convolve(np.abs(values), kernel, mode="same").max(initial=0.0))
 
-    def l1(values):
-        return float(np.abs(values).sum() * dx)
-
-    psi_l1 = l1(init.psi_plus.values) + l1(init.psi_minus.values)
+    psi_l1 = lp_norm(init.psi_plus, 1.0) + lp_norm(init.psi_minus, 1.0)
     k_n = m * psi_l1 * (np.exp(m * T) + T - 1.0)  # sup bound on the nonlinear part
     env = 0.0
     for f in (init.psi_plus, init.psi_minus):
         env += w0(f.values) + 2 * r * k_n
     for f, g in ((init.a_plus, init.psi_plus), (init.a_minus, init.psi_minus)):
-        other_l1 = psi_l1 - l1(g.values)
+        other_l1 = psi_l1 - lp_norm(g, 1.0)
         env += (
             w0(f.values)
             + (other_l1 + k_n * T) * w0(g.values)
@@ -292,13 +278,10 @@ def corollary_envelope_report(traj: Trajectory, p: float) -> DiagnosticReport:
     dx = traj.grid.dx
     m = traj.params.m
     t = traj.times - traj.times[0]
-    data_norm = (
-        _trace_lp(traj.psi_plus[:1], dx, p)[0] + _trace_lp(traj.psi_minus[:1], dx, p)[0]
-    )
+    lp_plus, lp_minus = (row_lp(np.abs(v), dx, p) for v in (traj.psi_plus, traj.psi_minus))
+    data_norm = lp_plus[0] + lp_minus[0]
     envelope = (np.exp(m * t) + t) * data_norm
-    lhs_t = np.maximum(
-        _trace_lp(traj.psi_plus, dx, p), _trace_lp(traj.psi_minus, dx, p)
-    )
+    lhs_t = np.maximum(lp_plus, lp_minus)
     if data_norm == 0.0:
         c_fit = 0.0
     else:

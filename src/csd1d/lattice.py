@@ -20,7 +20,9 @@ __all__ = [
     "RealField",
     "TriangleMask",
     "make_grid",
+    "step_count",
     "lp_norm",
+    "row_lp",
     "shift",
     "windowed_mass",
     "apply_mask",
@@ -51,10 +53,22 @@ class Grid:
 def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
     if not x_max > x_min:
         raise ValueError(f"grid extent must be positive, got [{x_min}, {x_max}]")
+    if isinstance(n_cells, bool) or not isinstance(n_cells, (int, np.integer)):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     dx = (x_max - x_min) / n_cells
     return Grid(x_min=float(x_min), n_cells=int(n_cells), dx=dx)
+
+
+def step_count(name: str, T: float, dt: float, positive: bool = False) -> int:
+    """T / dt as a whole number of steps; ValueError unless T is a
+    multiple (a positive one, if asked) of dt."""
+    steps = int(round(T / dt))
+    if (positive and steps < 1) or not np.isclose(steps * dt, T, rtol=1e-9, atol=1e-12):
+        what = "a positive multiple" if positive else "a multiple"
+        raise ValueError(f"{name}={T} is not {what} of dt={dt}")
+    return steps
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -116,16 +130,19 @@ class TriangleMask:
         )
 
 
+def row_lp(mag: np.ndarray, dx: float, p: float):
+    """L^p norm of each row (last axis) of a modulus array, as a
+    piecewise-constant grid function with cell width dx."""
+    if p == np.inf:
+        return mag.max(axis=-1, initial=0.0)
+    return ((mag**p).sum(axis=-1) * dx) ** (1.0 / p)
+
+
 def lp_norm(f: Field, p: float) -> float:
     """Lebesgue norm of the piecewise-constant grid function."""
-    mag = np.abs(f.values)
-    if p == np.inf:
-        return float(mag.max(initial=0.0))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if p == 1:
-        return float(mag.sum() * f.grid.dx)
-    return float((mag**p).sum() * f.grid.dx) ** (1.0 / p)
+    return float(row_lp(np.abs(f.values), f.grid.dx, p))
 
 
 def shift_values(values: np.ndarray, k: int, fill=0.0) -> np.ndarray:

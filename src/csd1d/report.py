@@ -6,6 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# identities the discretization makes exact are checked at EXACT_TOL;
+# continuum inequalities may be violated by discretization only at
+# quadrature-error scale, so they pass when margin >= -RELATIVE_SLACK*RHS
+EXACT_TOL = 1e-12
+RELATIVE_SLACK = 1e-3
+
 
 @dataclass(frozen=True)
 class DiagnosticReport:

@@ -24,14 +24,20 @@ until the measured contraction factor drops below 1/2 when requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailureError, SlabUnderflowError
-from .lattice import ComplexField, Grid, RealField, shift_values
-from .physics import CouplingKind, ModelParams, coupling_values
-from .transport import SourceTrace, check_containment, spacetime_lp_norm
+from .lattice import ComplexField, Grid, RealField, lp_norm, row_lp, shift_values, step_count
+from .physics import ModelParams, coupling_values
+from .transport import (
+    SourceTrace,
+    characteristic_integral_rows,
+    check_containment,
+    data_shift_rows,
+    spacetime_lp_norm,
+)
 
 __all__ = [
     "State",
@@ -92,32 +98,10 @@ class State:
         )
 
 
-def _row_lp(mag: np.ndarray, dx: float, p: float):
-    """L^p norm of each row (last axis) of a modulus array."""
-    if p == np.inf:
-        return mag.max(axis=-1, initial=0.0)
-    return ((mag**p).sum(axis=-1) * dx) ** (1.0 / p)
-
-
-def _lp(values: np.ndarray, dx: float, p: float) -> float:
-    return float(_row_lp(np.abs(values), dx, p))
-
-
-def _step_count(name: str, T: float, dt: float, positive: bool = False) -> int:
-    """T / dt as a whole number of steps; ValueError unless T is a
-    multiple (a positive one, if asked) of dt."""
-    steps = int(round(T / dt))
-    if (positive and steps < 1) or not np.isclose(steps * dt, T, rtol=1e-9, atol=1e-12):
-        what = "a positive multiple" if positive else "a multiple"
-        raise ValueError(f"{name}={T} is not {what} of dt={dt}")
-    return steps
-
-
 def initial_size(state: State, p: float | None = None) -> float:
     """Smallness bookkeeping: twice the summed L^p norms of the data."""
     p = state.params.p if p is None else p
-    dx = state.grid.dx
-    return 2.0 * sum(_lp(v, dx, p) for v in state.arrays())
+    return 2.0 * sum(float(row_lp(np.abs(v), state.grid.dx, p)) for v in state.arrays())
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ class SolverConfig:
             raise ValueError("slab_T, picard_tol and max_picard_iters must be positive")
 
     def slab_steps(self, grid: Grid) -> int:
-        return _step_count("slab_T", self.slab_T, grid.dt, positive=True)
+        return step_count("slab_T", self.slab_T, grid.dt, positive=True)
 
 
 @dataclass(frozen=True)
@@ -183,15 +167,10 @@ class Trajectory:
         ) * dx
 
     def lp_series(self, p: float) -> dict:
-        dx = self.grid.dx
-        out = {}
-        for name, trace in self.field_traces().items():
-            mag = np.abs(trace)
-            if p == np.inf:
-                out[name] = mag.max(axis=1, initial=0.0)
-            else:
-                out[name] = ((mag**p).sum(axis=1) * dx) ** (1.0 / p)
-        return out
+        return {
+            name: row_lp(np.abs(trace), self.grid.dx, p)
+            for name, trace in self.field_traces().items()
+        }
 
     def field_traces(self) -> dict:
         return {
@@ -282,22 +261,24 @@ def _march_phases(ap, am, P, dt):
     return phase_p, phase_m, gauge_update
 
 
-def _march_step(pp, pm, ap, am, m, alpha, dt):
-    P = coupling_values(pp, pm, alpha)
-    phase_p, phase_m, gauge_update = _march_phases(ap, am, P, dt)
-    sp = shift_values(pp, +1)
-    sm = shift_values(pm, -1)
+def _march_spinor(phase_p, phase_m, own_p, own_m, pp, pm, m, dt):
+    """Phase factor times the shifted own part (own_p, own_m) and, for
+    m > 0, the trapezoidal mass coupling of the full spinor (pp, pm),
+    predicted by an explicit Euler step."""
+    # operand orders are part of the output: complex products are not
+    # bitwise commutative
     if m == 0.0:
-        pp_new = sp * phase_p
-        pm_new = sm * phase_m
-    else:
-        foot_m = shift_values(pm, +1)
-        foot_p = shift_values(pp, -1)
-        pp_pred = phase_p * sp - 1j * m * dt * foot_m
-        pm_pred = phase_m * sm - 1j * m * dt * foot_p
-        pp_new = phase_p * (sp - 1j * m * 0.5 * dt * foot_m) - 1j * m * 0.5 * dt * pm_pred
-        pm_new = phase_m * (sm - 1j * m * 0.5 * dt * foot_p) - 1j * m * 0.5 * dt * pp_pred
-    return pp_new, pm_new, *gauge_update(coupling_values(pp_new, pm_new, alpha))
+        return shift_values(own_p, +1) * phase_p, shift_values(own_m, -1) * phase_m
+    foot_m = shift_values(pm, +1)
+    foot_p = shift_values(pp, -1)
+    pp_pred = phase_p * shift_values(pp, +1) - 1j * m * dt * foot_m
+    pm_pred = phase_m * shift_values(pm, -1) - 1j * m * dt * foot_p
+    return (
+        phase_p * (shift_values(own_p, +1) - 1j * m * 0.5 * dt * foot_m)
+        - 1j * m * 0.5 * dt * pm_pred,
+        phase_m * (shift_values(own_m, -1) - 1j * m * 0.5 * dt * foot_p)
+        - 1j * m * 0.5 * dt * pp_pred,
+    )
 
 
 def march(initial: State, steps: int) -> Trajectory:
@@ -314,9 +295,11 @@ def march(initial: State, steps: int) -> Trajectory:
     am = np.empty((steps + 1, n), float)
     pp[0], pm[0], ap[0], am[0] = initial.arrays()
     for i in range(steps):
-        pp[i + 1], pm[i + 1], ap[i + 1], am[i + 1] = _march_step(
-            pp[i], pm[i], ap[i], am[i], m, alpha, dt
+        phase_p, phase_m, gauge_update = _march_phases(
+            ap[i], am[i], coupling_values(pp[i], pm[i], alpha), dt
         )
+        pp[i + 1], pm[i + 1] = _march_spinor(phase_p, phase_m, pp[i], pm[i], pp[i], pm[i], m, dt)
+        ap[i + 1], am[i + 1] = gauge_update(coupling_values(pp[i + 1], pm[i + 1], alpha))
     return Trajectory(grid, initial.params, initial.t, pp, pm, ap, am)
 
 
@@ -328,7 +311,7 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
     zero and receives the mass coupling of the full spinor.
     """
     grid = initial.grid
-    steps = _step_count("T_final", T_final, grid.dt)
+    steps = step_count("T_final", T_final, grid.dt)
     check_containment(grid, steps, *initial.arrays())
     dt = grid.dt
     m, alpha = initial.params.m, initial.params.alpha
@@ -350,22 +333,9 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
         phase_p, phase_m, gauge_update = _march_phases(ap[i], am[i], P, dt)
         lp[i + 1] = phase_p * shift_values(lp[i], +1)
         lm[i + 1] = phase_m * shift_values(lm[i], -1)
-        if m == 0.0:
-            np_[i + 1] = phase_p * shift_values(np_[i], +1)
-            nm[i + 1] = phase_m * shift_values(nm[i], -1)
-        else:
-            foot_m = shift_values(pm_tot, +1)
-            foot_p = shift_values(pp_tot, -1)
-            pp_pred = phase_p * shift_values(pp_tot, +1) - 1j * m * dt * foot_m
-            pm_pred = phase_m * shift_values(pm_tot, -1) - 1j * m * dt * foot_p
-            np_[i + 1] = (
-                phase_p * (shift_values(np_[i], +1) - 1j * m * 0.5 * dt * foot_m)
-                - 1j * m * 0.5 * dt * pm_pred
-            )
-            nm[i + 1] = (
-                phase_m * (shift_values(nm[i], -1) - 1j * m * 0.5 * dt * foot_p)
-                - 1j * m * 0.5 * dt * pp_pred
-            )
+        np_[i + 1], nm[i + 1] = _march_spinor(
+            phase_p, phase_m, np_[i], nm[i], pp_tot, pm_tot, m, dt
+        )
         ap[i + 1], am[i + 1] = gauge_update(
             coupling_values(lp[i + 1] + np_[i + 1], lm[i + 1] + nm[i + 1], alpha)
         )
@@ -374,39 +344,6 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
 
 # ---------------------------------------------------------------------------
 # Picard backend
-
-
-def _characteristic_integral_rows(F_rows: np.ndarray, sign: int, dt: float, base: np.ndarray):
-    """Rows base_i + I_i(x), where I_i is the trapezoid of F along the
-    characteristic reaching (t_i, x) and I_0 = 0.
-
-    Each row is built in place with slices, one row at a time so that
-    the working rows stay in cache.  Every cell receives the same sums
-    as a row-by-row shift; the only missing term, 0.0 in the cell the
-    shift fills, is supplied by the base rows, which are zero there for
-    i >= 1.
-    """
-    dst, src = (np.s_[1:], np.s_[:-1]) if sign > 0 else (np.s_[:-1], np.s_[1:])
-    fill = 0 if sign > 0 else -1
-    out = np.empty_like(F_rows)
-    out[0] = 0.0
-    for i in range(1, out.shape[0]):
-        row = out[i]
-        row[dst] = F_rows[i - 1, src]
-        row[fill] = 0.0
-        row += F_rows[i]
-        np.multiply(0.5 * dt, row, out=row)
-        row[dst] += out[i - 1, src]
-    out += base
-    return out
-
-
-def _data_shift_rows(data: np.ndarray, sign: int, K: int) -> np.ndarray:
-    rows = np.empty((K + 1,) + data.shape, dtype=data.dtype)
-    rows[0] = data
-    for i in range(1, K + 1):
-        rows[i] = shift_values(rows[i - 1], sign)
-    return rows
 
 
 def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
@@ -424,7 +361,7 @@ def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
     for a, b in zip(new, old):
         mag = np.abs(a - b)
         sups.append(mag.max(initial=0.0))
-        weighted += float(_row_lp(mag, grid.dx, p).max(initial=0.0))
+        weighted += float(row_lp(mag, grid.dx, p).max(initial=0.0))
     del mag
     np_p, np_m, na_p, na_m = new
     op_p, op_m, oa_p, oa_m = old
@@ -470,11 +407,11 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
     dt = initial.grid.dt
     m, alpha, p = initial.params.m, initial.params.alpha, initial.params.p
     data_p, data_m, data_ap, data_am = initial.arrays()
-    base_ap = _data_shift_rows(data_ap, +1, K)
-    base_am = _data_shift_rows(data_am, -1, K)
+    base_ap = data_shift_rows(data_ap, +1, K)
+    base_am = data_shift_rows(data_am, -1, K)
     if alpha.is_null:
-        base_pp = _data_shift_rows(data_p, +1, K)
-        base_pm = _data_shift_rows(data_m, -1, K)
+        base_pp = data_shift_rows(data_p, +1, K)
+        base_pm = data_shift_rows(data_m, -1, K)
         it = tuple(np.zeros((K + 1,) + v.shape, v.dtype) for v in initial.arrays())
     else:
         # first iterate: data held constant in time
@@ -486,8 +423,8 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
         f_pp = 1j * (am * pp) - 1j * m * pm
         f_pm = 1j * (ap * pm) - 1j * m * pp
         return (
-            _characteristic_integral_rows(f_pp, +1, dt, base_pp),
-            _characteristic_integral_rows(f_pm, -1, dt, base_pm),
+            characteristic_integral_rows(f_pp, +1, dt, base_pp),
+            characteristic_integral_rows(f_pm, -1, dt, base_pm),
         )
 
     history = []
@@ -498,8 +435,8 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
             P = coupling_values(it[0], it[1], alpha)
             new = (
                 *spinor_update(*it),
-                _characteristic_integral_rows(-P, +1, dt, base_ap),
-                _characteristic_integral_rows(P, -1, dt, base_am),
+                characteristic_integral_rows(-P, +1, dt, base_ap),
+                characteristic_integral_rows(P, -1, dt, base_am),
             )
             del P
             d_sup, d_w = _iterate_distance(new, it, initial.grid, p)
@@ -549,7 +486,7 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
     the role of the implicit smallness-of-T condition.
     """
     grid = initial.grid
-    total_steps = _step_count("T_final", T_final, grid.dt)
+    total_steps = step_count("T_final", T_final, grid.dt)
     if cfg.backend == "march":
         return march(initial, total_steps)
 
@@ -565,12 +502,9 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
                 raise ConvergenceFailureError("contraction factor >= 1/2", history=history)
         except ConvergenceFailureError as exc:
             if not cfg.auto_slab or k <= 1:
-                dx = grid.dx
                 norms = {
-                    name: _lp(v, dx, cur.params.p)
-                    for name, v in zip(
-                        ("psi_plus", "psi_minus", "a_plus", "a_minus"), cur.arrays()
-                    )
+                    name: lp_norm(getattr(cur, name), cur.params.p)
+                    for name in ("psi_plus", "psi_minus", "a_plus", "a_minus")
                 }
                 where = (
                     "at the single-step floor"
@@ -599,7 +533,9 @@ def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -
         raise ValueError("both datasets must live on one grid")
     p = data_a.params.p
     dx = data_a.grid.dx
-    denom = sum(_lp(va - vb, dx, p) for va, vb in zip(data_a.arrays(), data_b.arrays()))
+    denom = sum(
+        float(row_lp(np.abs(va - vb), dx, p)) for va, vb in zip(data_a.arrays(), data_b.arrays())
+    )
     if denom == 0.0:
         raise ValueError("datasets are identical; difference quotient undefined")
     traj_a = solve_global(data_a, T, cfg)
@@ -607,5 +543,5 @@ def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -
     num = 0.0
     for name in ("psi_plus", "psi_minus", "a_plus", "a_minus"):
         diff = traj_a.field_traces()[name] - traj_b.field_traces()[name]
-        num += float(_row_lp(np.abs(diff), dx, p).max(initial=0.0))
+        num += float(row_lp(np.abs(diff), dx, p).max(initial=0.0))
     return num / denom

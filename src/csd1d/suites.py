@@ -8,11 +8,12 @@ always-pass check is caught.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .diagnostics import (
     EXACT_TOL,
-    RELATIVE_SLACK,
     charge_series,
     concentration_monitor,
     finite_speed_check,
@@ -20,9 +21,10 @@ from .diagnostics import (
     localization_check,
     scaling_check,
 )
-from .errors import ConvergenceFailureError, SlabUnderflowError
-from .lattice import ComplexField, RealField, make_grid
+from .errors import ConvergenceFailureError
+from .lattice import make_grid
 from .physics import CouplingKind, DataSpec, ModelParams, generate_data
+from .report import DiagnosticReport
 from .solver import (
     SolverConfig,
     State,
@@ -41,25 +43,22 @@ P_CYCLE = (1.0, 1.5, 2.0, 4.0, np.inf)
 COUPLINGS = (CouplingKind.NULL_GAMMA0, CouplingKind.NULL_GAMMA1, CouplingKind.IDENTITY)
 
 
-def _row(name: str, seed: int, lhs: float, rhs: float, tolerance: float) -> dict:
+def _report_row(report: DiagnosticReport, seed: int) -> dict:
     return {
-        "name": name,
+        "name": report.name,
         "seed": seed,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "margin": float(rhs - lhs),
-        "pass": bool(rhs - lhs >= -tolerance),
+        "lhs": float(report.lhs),
+        "rhs": float(report.rhs),
+        "margin": float(report.margin),
+        "pass": bool(report.pass_),
     }
 
 
-def _report_row(report, seed: int) -> dict:
-    return _row(report.name, seed, report.lhs, report.rhs, report.tolerance)
-
-
-def _control_row(name: str, seed: int, leak: float, threshold: float) -> dict:
-    # detector-sensitivity control: passes only when the leak exceeds
-    # the detection threshold
-    return _row(name, seed, threshold, leak, 0.0)
+def _bound_row(name: str, seed: int, lhs: float, rhs: float) -> dict:
+    """Row of lhs <= rhs with no slack.  A detector-sensitivity control
+    passes its detection threshold as lhs and the leak as rhs, so that
+    it passes only when the detector fires."""
+    return _report_row(DiagnosticReport(name, lhs, rhs, 0.0), seed)
 
 
 def _random_state(grid, params, rng, amplitude=0.5, spread=3.0) -> State:
@@ -155,7 +154,7 @@ def _finite_speed_trial(trial: int, seed: int) -> list[dict]:
     state = _punctured_state(grid, params, rng, x0=0.0, R=1.0)
     rows = [_report_row(finite_speed_check(state, 0.0, 1.0, cfg), trial)]
     widened = finite_speed_check(state, 0.0, 1.0, cfg, widen_cells=2)
-    rows.append(_control_row("finite_speed_widened_control", trial, widened.lhs, EXACT_TOL))
+    rows.append(_bound_row("finite_speed_widened_control", trial, EXACT_TOL, widened.lhs))
     return rows
 
 
@@ -167,7 +166,7 @@ def _localization_trial(trial: int, seed: int) -> list[dict]:
     state = _random_state(grid, params, rng, amplitude=0.4)
     rows = [_report_row(localization_check(state, 0.0, 1.5, cfg), trial)]
     moved = localization_check(state, 0.0, 1.5, cfg, misalign_cells=40)
-    rows.append(_control_row("localization_misaligned_control", trial, moved.lhs, 1e-10))
+    rows.append(_bound_row("localization_misaligned_control", trial, 1e-10, moved.lhs))
     return rows
 
 
@@ -189,8 +188,8 @@ def _contraction_trial(trial: int, seed: int, large_m: bool = False) -> list[dic
         if not np.isfinite(ratio):
             ratio = 1e300
         iters = len(exc.history)
-    rows = [_row("contraction_ratio", trial, ratio, 0.5, 0.0)]
-    rows.append(_row("contraction_iters", trial, float(iters), 45.0, 0.0))
+    rows = [_bound_row("contraction_ratio", trial, ratio, 0.5)]
+    rows.append(_bound_row("contraction_iters", trial, float(iters), 45.0))
     return rows
 
 
@@ -217,9 +216,7 @@ def _charge_trial(trial: int, seed: int) -> list[dict]:
             state = _random_state(grid, params, rng, amplitude=0.4)
             traj = solve_global(state, 0.5, SolverConfig(backend=backend, slab_T=0.25))
             _, rep = charge_series(traj)
-            rows.append(
-                _row(f"charge_{backend}_m{int(m)}", trial, rep.lhs, rep.rhs, rep.tolerance)
-            )
+            rows.append(_report_row(replace(rep, name=f"charge_{backend}_m{int(m)}"), trial))
     return rows
 
 
@@ -233,9 +230,9 @@ def _concentration_trial(trial: int, seed: int) -> list[dict]:
     prev = None
     for r in (1.0, 0.5, 0.25):
         _, rep = concentration_monitor(traj, r, initial=state)
-        rows.append(_row(f"concentration_r{r}", trial, rep.lhs, rep.rhs, rep.tolerance))
+        rows.append(_report_row(replace(rep, name=f"concentration_r{r}"), trial))
         if prev is not None:
-            rows.append(_row(f"concentration_monotone_r{r}", trial, rep.lhs, prev, 0.0))
+            rows.append(_bound_row(f"concentration_monotone_r{r}", trial, rep.lhs, prev))
         prev = rep.lhs
     return rows
 

@@ -209,6 +209,43 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("grid", "n_cells", 128.7, "grid: n_cells must be an integer"),
+        ("output", "formats", "csv", "output.formats must be a list"),
+        ("model", "m", True, "model.m must be a number"),
+        ("run", "T_final", True, "run.T_final must be a positive number"),
+        ("run", "seed", "abc", "unknown key run.seed"),
+    ],
+    ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed"],
+)
+def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
+    out = tmp_path / "o"
+    doc = base_config(out)
+    doc[section][key] = value
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    assert len(result.output.strip().splitlines()) == 1
+    assert message in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_unevaluable_check_exit_2(tmp_path):
+    # e^{mt} overflows in the intrinsic bound at this mass
+    out = tmp_path / "o"
+    doc = base_config(out)
+    doc["model"]["m"] = 800.0
+    doc["solver"] = {"backend": "march"}
+    doc["run"] = {"T_final": 1.0, "checks": ["intrinsic"]}
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: check 'intrinsic': ")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
 def test_solve_string_checks_exit_2(tmp_path):
     doc = base_config(tmp_path / "o")
     doc["run"]["checks"] = "charge"

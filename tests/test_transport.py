@@ -13,7 +13,6 @@ from csd1d import (
     TriangleMask,
     bilinear_bound_check,
     make_grid,
-    masked_bilinear_check,
     solve_transport,
     spacetime_lp_norm,
 )
@@ -159,7 +158,7 @@ def test_masked_bilinear_restricts_both_sides():
     u_p = unit_box(g, -1.0, 0.0)
     u_m = unit_box(g, 0.0, 1.0)
     full = bilinear_bound_check(u_p, u_m, None, None, 1.0, 1.0)
-    masked = masked_bilinear_check(u_p, u_m, None, None, 1.0, 1.0, mask)
+    masked = bilinear_bound_check(u_p, u_m, None, None, 1.0, 1.0, mask=mask)
     assert masked.lhs <= full.lhs + 1e-12
     assert masked.rhs <= full.rhs + 1e-12
     assert masked.margin >= -masked.tolerance
