@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes partition the failure modes: 2 for schema or usage errors,
-3 for iteration failures (a report is still written), 4 for support
-leaving the grid, and `verify` exits 1 when any trial row fails.
+Exit codes partition the failure modes of every command: 2 for schema
+or usage errors, 3 for iteration failures (`solve` still writes a
+report), 4 for support leaving the grid, and 1 when a check or a
+`verify` trial row fails.
 trajectory.csv and report.json are byte-deterministic for a fixed
 config and seed; wall-clock time lives only in meta.json.
 """
@@ -14,13 +15,14 @@ import math
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_initial_state, load_config
+from .config import RunConfig, build_initial_state, load_config
 from .diagnostics import (
     charge_series,
     concentration_monitor,
@@ -33,6 +35,9 @@ from .suites import SUITE_NAMES, run_suite
 from .transport import bilinear_bound_check
 
 FIELD_NAMES = ("psi_plus", "psi_minus", "a_plus", "a_minus")
+
+# ConfigError is a ValueError; the two solver failures are RuntimeErrors
+_EXIT_CODES = {ValueError: 2, SlabUnderflowError: 3, DomainOverflowError: 4}
 
 
 def _fmt(x) -> str:
@@ -102,15 +107,15 @@ def main():
     Chern-Simons-Dirac system on a unit-CFL lattice."""
 
 
-def _load(config_path: str) -> RunConfig:
+@contextmanager
+def _exit_codes():
+    """End a command that meets a documented failure with its exit code
+    and a one-line `error:` message instead of a traceback."""
     try:
-        return load_config(config_path)
-    except FileNotFoundError:
-        click.echo(f"error: config file not found: {config_path}", err=True)
-        sys.exit(2)
-    except ConfigError as exc:
+        yield
+    except tuple(_EXIT_CODES) as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        sys.exit(next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
 
 
 def _trajectory_rows(traj, p):
@@ -173,10 +178,11 @@ def _meta(cfg: RunConfig, wall_s: float) -> dict:
 
 @main.command()
 @click.argument("config_path", type=click.Path())
+@_exit_codes()
 def solve(config_path):
     """Run one configured solve and write trajectory, report and meta
     artifacts into the configured output directory."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
     out = Path(cfg.out_dir)
     state = build_initial_state(cfg)
     t_start = time.monotonic()
@@ -192,25 +198,11 @@ def solve(config_path):
             **_history_doc(getattr(cause, "history", [])),
         })
         _write_json(out / "meta.json", _meta(cfg, time.monotonic() - t_start))
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    except DomainOverflowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        raise
 
-    try:
-        # an overflow surfaces as a non-finite report value, which is refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            checks = _run_checks(cfg, state, traj)
-    except DomainOverflowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    # an overflow surfaces as a non-finite report value, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = _run_checks(cfg, state, traj)
     wall = time.monotonic() - t_start
 
     if "csv" in cfg.formats:
@@ -236,11 +228,13 @@ def solve(config_path):
 
 @main.command()
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
-@click.option("--seed", default=0, show_default=True, help="Base seed for all trials.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Base seed for all trials.")
 @click.option("--out", "out_dir", default="verify_out", show_default=True)
 @click.option("--large-m", is_flag=True,
               help="Oversized data for the contraction suite, also within "
                    "'all'; expected to fail.")
+@_exit_codes()
 def verify(suite, seed, out_dir, large_m):
     """Run a seeded verification suite and write one CSV row per trial.
 
@@ -263,13 +257,13 @@ def _coarsen(values: np.ndarray) -> np.ndarray:
 @click.argument("config_path", type=click.Path())
 @click.option("--levels", default=3, show_default=True,
               help="Number of grid refinements (>= 3).")
+@_exit_codes()
 def convergence(config_path, levels):
     """Self-convergence study: re-solve on refined grids, emit pairwise
     sup-differences of the final state and the fitted order per field."""
     if levels < 3:
-        click.echo("error: --levels must be >= 3", err=True)
-        sys.exit(2)
-    cfg = _load(config_path)
+        raise ValueError("--levels must be >= 3")
+    cfg = load_config(config_path)
     finals = []
     sizes = []
     for k in range(levels):
@@ -277,14 +271,7 @@ def convergence(config_path, levels):
         doc["grid"]["n_cells"] = cfg.grid.n_cells * 2**k
         level_cfg = RunConfig.from_dict(doc)
         state = build_initial_state(level_cfg)
-        try:
-            traj = solve_global(state, level_cfg.T_final, level_cfg.solver)
-        except SlabUnderflowError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except DomainOverflowError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
+        traj = solve_global(state, level_cfg.T_final, level_cfg.solver)
         finals.append(traj.final_state)
         sizes.append(level_cfg.grid.n_cells)
 

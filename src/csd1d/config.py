@@ -8,24 +8,17 @@ fail loudly, and every message names the offending key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lattice import Grid, RealField, make_grid
+from .lattice import Grid, RealField, is_integer, is_number, make_grid
 from .physics import CouplingKind, DataSpec, ModelParams, diagonalize, generate_data
 from .solver import SolverConfig, State
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "build_initial_state"]
 
 DEFAULTS = {
-    "solver": {
-        "backend": "picard",
-        "slab_T": 0.25,
-        "picard_tol": 1e-12,
-        "max_picard_iters": 50,
-        "auto_slab": True,
-    },
     "run": {"checks": ["charge"], "window_r": None},
     "output": {"directory": "out", "formats": ["csv", "json"]},
 }
@@ -36,22 +29,23 @@ _ALPHA_NAMES = {"gamma0": CouplingKind.NULL_GAMMA0,
 
 KNOWN_CHECKS = ("charge", "intrinsic", "envelope", "concentration", "bilinear")
 
+_DATA_NUMBERS = ("center", "width", "amplitude", "phase", "wavenumber", "spread")
+_DATA_INTEGERS = ("seed", "n_bumps")
+
 
 class ConfigError(ValueError):
     """Schema violation; the message names the key."""
 
 
 def _require_keys(section: dict, path: str, required: tuple, optional: tuple = ()):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in section:
         if key not in required and key not in optional:
             raise ConfigError(f"unknown key {path}.{key}")
     for key in required:
         if key not in section:
             raise ConfigError(f"missing key {path}.{key}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_p(value, path: str) -> float:
@@ -67,16 +61,15 @@ def _parse_p(value, path: str) -> float:
 
 
 def _parse_dataspec(section, path: str) -> DataSpec:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
-    allowed = ("kind", "center", "width", "amplitude", "phase", "wavenumber",
-               "seed", "n_bumps", "spread")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
+    _require_keys(section, path, (), ("kind",) + _DATA_NUMBERS + _DATA_INTEGERS)
+    for key, value in section.items():
+        if key in _DATA_NUMBERS and not is_number(value):
+            raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
+        if key in _DATA_INTEGERS and not is_integer(value):
+            raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
     try:
         return DataSpec(**section)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -95,8 +88,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be an object")
         _require_keys(doc, "config", ("grid", "model", "data", "run"),
                       ("solver", "output"))
 
@@ -113,7 +104,7 @@ class RunConfig:
             raise ConfigError(
                 f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {mdl['alpha']!r}"
             )
-        if not _is_number(mdl["m"]) or mdl["m"] < 0:
+        if not is_number(mdl["m"]) or mdl["m"] < 0:
             raise ConfigError("model.m must be a number >= 0")
         params = ModelParams(
             alpha=_ALPHA_NAMES[mdl["alpha"]], m=float(mdl["m"]),
@@ -124,21 +115,16 @@ class RunConfig:
         _require_keys(d, "data", ("psi1", "psi2", "a0", "a1"))
         data = {k: _parse_dataspec(d[k], f"data.{k}") for k in ("psi1", "psi2", "a0", "a1")}
 
-        s = {**DEFAULTS["solver"], **doc.get("solver", {})}
-        _require_keys(s, "solver", (), tuple(DEFAULTS["solver"]))
+        s = doc.get("solver", {})
+        _require_keys(s, "solver", (), tuple(f.name for f in fields(SolverConfig)))
         try:
-            solver = SolverConfig(
-                backend=s["backend"], slab_T=float(s["slab_T"]),
-                picard_tol=float(s["picard_tol"]),
-                max_picard_iters=int(s["max_picard_iters"]),
-                auto_slab=bool(s["auto_slab"]),
-            )
-        except (TypeError, ValueError) as exc:
+            solver = SolverConfig(**s)
+        except ValueError as exc:
             raise ConfigError(f"solver: {exc}") from None
 
+        _require_keys(doc["run"], "run", ("T_final",), tuple(DEFAULTS["run"]))
         r = {**DEFAULTS["run"], **doc["run"]}
-        _require_keys(r, "run", ("T_final",), ("checks", "window_r"))
-        if not _is_number(r["T_final"]) or r["T_final"] <= 0:
+        if not is_number(r["T_final"]) or r["T_final"] <= 0:
             raise ConfigError("run.T_final must be a positive number")
         if not isinstance(r["checks"], list):
             raise ConfigError("run.checks must be a list of check names")
@@ -147,13 +133,13 @@ class RunConfig:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"run.checks: unknown check {c!r}")
         window_r = r["window_r"]
-        if window_r is not None and not (_is_number(window_r) and grid.dx <= window_r < np.inf):
+        if window_r is not None and not (is_number(window_r) and grid.dx <= window_r < np.inf):
             raise ConfigError(
                 f"run.window_r must be a number >= dx={grid.dx:g}, got {window_r!r}"
             )
 
+        _require_keys(doc.get("output", {}), "output", (), tuple(DEFAULTS["output"]))
         o = {**DEFAULTS["output"], **doc.get("output", {})}
-        _require_keys(o, "output", (), tuple(DEFAULTS["output"]))
         if not isinstance(o["formats"], list):
             raise ConfigError("output.formats must be a list of format names")
         formats = tuple(o["formats"])
@@ -170,11 +156,13 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     return RunConfig.from_dict(doc)
 
 

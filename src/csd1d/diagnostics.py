@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TriangleMask, lp_norm, row_lp, window_kernel
+from .lattice import Grid, TriangleMask, lp_norm, row_lp, window_kernel, windowed_mass
 from .report import EXACT_TOL, RELATIVE_SLACK, DiagnosticReport
 from .solver import (
     DecomposedTrajectory,
@@ -93,6 +93,17 @@ def intrinsic_bound_report(dtraj: DecomposedTrajectory, p: float) -> DiagnosticR
     )
 
 
+def _cone_max(mask: TriangleMask, traj: Trajectory, other: Trajectory | None = None) -> float:
+    """Largest modulus of any field of traj, or of its difference from
+    the same field of other, over the cone of mask at each stored step."""
+    t = traj.times - traj.times[0]
+    inside = mask.indicator(traj.grid, t[:, None]).astype(bool)
+    traces = traj.field_traces()
+    if other is not None:
+        traces = {name: v - other.field_traces()[name] for name, v in traces.items()}
+    return float(np.max([np.abs(v[inside]).max(initial=0.0) for v in traces.values()]))
+
+
 def finite_speed_check(
     data: State, x0: float, R: float, cfg: SolverConfig, widen_cells: int = 0
 ) -> DiagnosticReport:
@@ -105,14 +116,7 @@ def finite_speed_check(
         raise ValueError(f"R={R} must exceed a few cells (dx={grid.dx})")
     steps = int(R / grid.dt)
     traj = solve_global(data, steps * grid.dt, cfg)
-    widen = widen_cells * grid.dx
-    leak = 0.0
-    for i, t in enumerate(traj.times - traj.times[0]):
-        inside = np.abs(grid.centers - x0) <= R - t + widen + 1e-12 * grid.dx
-        if not inside.any():
-            continue
-        for trace in traj.field_traces().values():
-            leak = max(leak, float(np.abs(trace[i][inside]).max(initial=0.0)))
+    leak = _cone_max(TriangleMask(x0=x0, R=R + widen_cells * grid.dx), traj)
     return DiagnosticReport(
         name="finite_speed",
         lhs=leak,
@@ -131,30 +135,11 @@ def localization_check(
     misalign_cells shifts the cut interval without moving the comparison
     cone (a counter-test: the cone then ingests altered data)."""
     grid = data.grid
-    mask = TriangleMask(x0=x0 + misalign_cells * grid.dx, R=R)
-    chi0 = mask.indicator(grid, 0.0)
-    cut = State.from_arrays(
-        grid,
-        data.psi_plus.values * chi0,
-        data.psi_minus.values * chi0,
-        data.a_plus.values * chi0,
-        data.a_minus.values * chi0,
-        data.params,
-        t=data.t,
-    )
-    steps = int(R / grid.dt)
-    T = steps * grid.dt
+    cut = data.weighted(TriangleMask(x0=x0 + misalign_cells * grid.dx, R=R).indicator(grid, 0.0))
+    T = int(R / grid.dt) * grid.dt
     traj_full = solve_global(data, T, cfg)
     traj_cut = solve_global(cut, T, cfg)
-    diff = 0.0
-    cone = TriangleMask(x0=x0, R=R)
-    for i, t in enumerate(traj_full.times - traj_full.times[0]):
-        inside = cone.indicator(grid, float(t)).astype(bool)
-        if not inside.any():
-            continue
-        for name in traj_full.field_traces():
-            d = traj_full.field_traces()[name][i] - traj_cut.field_traces()[name][i]
-            diff = max(diff, float(np.abs(d[inside]).max(initial=0.0)))
+    diff = _cone_max(TriangleMask(x0=x0, R=R), traj_full, traj_cut)
     return DiagnosticReport(
         name="localization",
         lhs=diff,
@@ -188,19 +173,16 @@ def concentration_monitor(
     m = traj.params.m
     T = float(traj.times[-1] - traj.times[0])
 
-    def w0(values):
-        return float(np.convolve(np.abs(values), kernel, mode="same").max(initial=0.0))
-
     psi_l1 = lp_norm(init.psi_plus, 1.0) + lp_norm(init.psi_minus, 1.0)
     k_n = m * psi_l1 * (np.exp(m * T) + T - 1.0)  # sup bound on the nonlinear part
     env = 0.0
     for f in (init.psi_plus, init.psi_minus):
-        env += w0(f.values) + 2 * r * k_n
+        env += windowed_mass(f, r) + 2 * r * k_n
     for f, g in ((init.a_plus, init.psi_plus), (init.a_minus, init.psi_minus)):
         other_l1 = psi_l1 - lp_norm(g, 1.0)
         env += (
-            w0(f.values)
-            + (other_l1 + k_n * T) * w0(g.values)
+            windowed_mass(f, r)
+            + (other_l1 + k_n * T) * windowed_mass(g, r)
             + 2 * r * (k_n * other_l1 + k_n**2 * T)
         )
     measured = float(series.max(initial=0.0))

@@ -10,6 +10,7 @@ data support fattened by the simulated time, which the solver checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,20 @@ class Grid:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
+def is_number(value) -> bool:
+    """A real number that is not a boolean (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a boolean; 3.0 is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
     if not x_max > x_min:
         raise ValueError(f"grid extent must be positive, got [{x_min}, {x_max}]")
-    if isinstance(n_cells, bool) or not isinstance(n_cells, (int, np.integer)):
+    if not is_integer(n_cells):
         raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
@@ -123,7 +134,9 @@ class TriangleMask:
         if not self.R > 0:
             raise ValueError(f"mask half-width must be positive, got {self.R}")
 
-    def indicator(self, grid: Grid, t: float) -> np.ndarray:
+    def indicator(self, grid: Grid, t: float | np.ndarray) -> np.ndarray:
+        """1.0 on the active set at time t; a column of times gives one
+        row per time."""
         # half-cell slack keeps edge cells from flickering under roundoff
         return (np.abs(grid.centers - self.x0) <= self.R - t + 1e-12 * grid.dx).astype(
             np.float64

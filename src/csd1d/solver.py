@@ -29,7 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailureError, SlabUnderflowError
-from .lattice import ComplexField, Grid, RealField, lp_norm, row_lp, shift_values, step_count
+from .lattice import (
+    ComplexField,
+    Grid,
+    RealField,
+    is_integer,
+    is_number,
+    lp_norm,
+    row_lp,
+    shift_values,
+    step_count,
+)
 from .physics import ModelParams, coupling_values
 from .transport import (
     SourceTrace,
@@ -97,6 +107,11 @@ class State:
             self.a_minus.values,
         )
 
+    def weighted(self, w) -> "State":
+        """This state with every field multiplied by w, a number or an
+        array over the grid."""
+        return State.from_arrays(self.grid, *(v * w for v in self.arrays()), self.params, t=self.t)
+
 
 def initial_size(state: State, p: float | None = None) -> float:
     """Smallness bookkeeping: twice the summed L^p norms of the data."""
@@ -115,8 +130,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.backend not in ("picard", "march"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.slab_T <= 0 or self.picard_tol <= 0 or self.max_picard_iters < 1:
-            raise ValueError("slab_T, picard_tol and max_picard_iters must be positive")
+        for name in ("slab_T", "picard_tol"):
+            value = getattr(self, name)
+            if not (is_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (is_integer(self.max_picard_iters) and self.max_picard_iters >= 1):
+            raise ValueError(
+                f"max_picard_iters must be a positive integer, got {self.max_picard_iters!r}"
+            )
+        if not isinstance(self.auto_slab, bool):
+            raise ValueError(f"auto_slab must be true or false, got {self.auto_slab!r}")
 
     def slab_steps(self, grid: Grid) -> int:
         return step_count("slab_T", self.slab_T, grid.dt, positive=True)

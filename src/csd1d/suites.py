@@ -84,15 +84,7 @@ def _scaled_to_size(state: State, target_M: float) -> State:
     cur = initial_size(state)
     if cur == 0.0:
         raise ValueError("cannot rescale zero data")
-    c = target_M / cur
-    return State.from_arrays(
-        state.grid,
-        c * state.psi_plus.values,
-        c * state.psi_minus.values,
-        c * state.a_plus.values,
-        c * state.a_minus.values,
-        state.params,
-    )
+    return state.weighted(target_M / cur)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +127,7 @@ def _intrinsic_trial(trial: int, seed: int) -> list[dict]:
 
 def _punctured_state(grid, params, rng, x0: float, R: float) -> State:
     state = _random_state(grid, params, rng, amplitude=0.4, spread=3.0)
-    outside = (np.abs(grid.centers - x0) >= R).astype(float)
-    return State.from_arrays(
-        grid,
-        state.psi_plus.values * outside,
-        state.psi_minus.values * outside,
-        state.a_plus.values * outside,
-        state.a_minus.values * outside,
-        params,
-    )
+    return state.weighted((np.abs(grid.centers - x0) >= R).astype(float))
 
 
 def _finite_speed_trial(trial: int, seed: int) -> list[dict]:

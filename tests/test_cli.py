@@ -27,6 +27,14 @@ def base_config(out_dir, **over):
     return doc
 
 
+def set_key(doc, section, key, value):
+    """doc[section][key] = value, where section may be a dotted path."""
+    node = doc
+    for name in section.split("."):
+        node = node.setdefault(name, {})
+    node[key] = value
+
+
 def strict_json(text):
     """json.loads that rejects the non-standard NaN/Infinity tokens."""
 
@@ -69,6 +77,14 @@ def test_config_unknown_check():
     doc = base_config("out")
     doc["run"]["checks"] = ["charge", "entropy"]
     with pytest.raises(ConfigError, match="entropy"):
+        RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["grid", "model", "data", "run", "solver", "output"])
+def test_config_section_not_object(section):
+    doc = base_config("out")
+    doc[section] = 5
+    with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
         RunConfig.from_dict(doc)
 
 
@@ -217,13 +233,22 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("model", "m", True, "model.m must be a number"),
         ("run", "T_final", True, "run.T_final must be a positive number"),
         ("run", "seed", "abc", "unknown key run.seed"),
+        ("solver", "auto_slab", "false", "solver: auto_slab must be true or false"),
+        ("solver", "max_picard_iters", 2.7, "solver: max_picard_iters must be a positive integer"),
+        ("solver", "max_picard_iters", True, "solver: max_picard_iters must be a positive integer"),
+        ("solver", "slab_T", True, "solver: slab_T must be a positive number"),
+        ("data.psi1", "amplitude", "big", "data.psi1.amplitude must be a number"),
+        ("data.psi1", "seed", "x", "data.psi1.seed must be an integer"),
+        ("data.psi1", "n_bumps", "3", "data.psi1.n_bumps must be an integer"),
     ],
-    ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed"],
+    ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
+         "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
+         "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string"],
 )
 def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
     out = tmp_path / "o"
     doc = base_config(out)
-    doc[section][key] = value
+    set_key(doc, section, key, value)
     result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
     assert result.exit_code == 2
     assert len(result.output.strip().splitlines()) == 1
@@ -244,6 +269,36 @@ def test_solve_unevaluable_check_exit_2(tmp_path):
     assert result.output.startswith("error: check 'intrinsic': ")
     assert len(result.output.strip().splitlines()) == 1
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("run", "T_final", 0.3, "error: T_final=0.3 is not a multiple of dt=0.125"),
+        ("data.psi1", "width", 0.2, "error: feature width 0.2 not resolvable on dx=0.125"),
+    ],
+    ids=["T_final_off_lattice", "data_too_narrow"],
+)
+def test_unrunnable_config_exit_2(tmp_path, command, section, key, value, message):
+    out = tmp_path / "o"
+    doc = base_config(out)
+    doc["grid"]["n_cells"] = 128
+    set_key(doc, section, key, value)
+    result = CliRunner().invoke(main, [command, write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    assert len(result.output.strip().splitlines()) == 1
+    assert result.output.startswith(message)
+    assert not out.exists()
+
+
+def test_verify_negative_seed_exit_2(tmp_path):
+    result = CliRunner().invoke(main, ["verify", "scaling", "--seed", "-1", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    # click prints its usage lines above the one error line
+    errors = [line for line in result.output.splitlines() if line.lower().startswith("error")]
+    assert errors == ["Error: Invalid value for '--seed': -1 is not in the range x>=0."]
+    assert "Traceback" not in result.output
 
 
 def test_solve_string_checks_exit_2(tmp_path):
