@@ -271,7 +271,7 @@ def convergence(config_path, levels):
         doc["grid"]["n_cells"] = cfg.grid.n_cells * 2**k
         level_cfg = RunConfig.from_dict(doc)
         state = build_initial_state(level_cfg)
-        traj = solve_global(state, level_cfg.T_final, level_cfg.solver)
+        traj = solve_global(state, level_cfg.T_final, level_cfg.solver, weighted=False)
         finals.append(traj.final_state)
         sizes.append(level_cfg.grid.n_cells)
 

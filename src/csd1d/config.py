@@ -48,25 +48,25 @@ def _require_keys(section: dict, path: str, required: tuple, optional: tuple = (
             raise ConfigError(f"missing key {path}.{key}")
 
 
-def _parse_p(value, path: str) -> float:
-    if value in ("inf", "infinity"):
-        return np.inf
-    try:
-        p = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number >= 1 or 'inf'") from None
-    if p < 1:
-        raise ConfigError(f"{path} must be >= 1 or 'inf', got {p}")
-    return p
+def _number(section: dict, path: str, integer=False, at_least=None, positive=False):
+    """The finite number (an integer, if asked) at path "<section>.<key>",
+    above 0 if positive, else no less than at_least if given;
+    ConfigError naming the key otherwise."""
+    value = section[path.rsplit(".", 1)[1]]
+    if not ((is_integer if integer else is_number)(value) and -np.inf < value < np.inf
+            and (value > 0 if positive else at_least is None or value >= at_least)):
+        noun = "integer" if integer else "number"
+        what = f"a positive {noun}" if positive else ("an " if integer else "a ") + noun
+        bound = "" if at_least is None else f" >= {at_least:g}"
+        raise ConfigError(f"{path} must be {what}{bound}, got {value!r}")
+    return value
 
 
 def _parse_dataspec(section, path: str) -> DataSpec:
     _require_keys(section, path, (), ("kind",) + _DATA_NUMBERS + _DATA_INTEGERS)
-    for key, value in section.items():
-        if key in _DATA_NUMBERS and not is_number(value):
-            raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-        if key in _DATA_INTEGERS and not is_integer(value):
-            raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+    for key in section:
+        if key in _DATA_NUMBERS + _DATA_INTEGERS:
+            _number(section, f"{path}.{key}", integer=key in _DATA_INTEGERS)
     try:
         return DataSpec(**section)
     except ValueError as exc:
@@ -93,8 +93,9 @@ class RunConfig:
 
         g = doc["grid"]
         _require_keys(g, "grid", ("x_min", "x_max", "n_cells"))
+        x_min, x_max = _number(g, "grid.x_min"), _number(g, "grid.x_max")
         try:
-            grid = make_grid(g["x_min"], g["x_max"], g["n_cells"])
+            grid = make_grid(x_min, x_max, g["n_cells"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from None
 
@@ -104,11 +105,12 @@ class RunConfig:
             raise ConfigError(
                 f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {mdl['alpha']!r}"
             )
-        if not is_number(mdl["m"]) or mdl["m"] < 0:
-            raise ConfigError("model.m must be a number >= 0")
+        p = mdl["p"]
+        if p not in ("inf", "infinity", np.inf):
+            p = _number(mdl, "model.p", at_least=1)
         params = ModelParams(
-            alpha=_ALPHA_NAMES[mdl["alpha"]], m=float(mdl["m"]),
-            p=_parse_p(mdl["p"], "model.p"),
+            alpha=_ALPHA_NAMES[mdl["alpha"]], m=float(_number(mdl, "model.m", at_least=0)),
+            p=float(p),
         )
 
         d = doc["data"]
@@ -124,8 +126,7 @@ class RunConfig:
 
         _require_keys(doc["run"], "run", ("T_final",), tuple(DEFAULTS["run"]))
         r = {**DEFAULTS["run"], **doc["run"]}
-        if not is_number(r["T_final"]) or r["T_final"] <= 0:
-            raise ConfigError("run.T_final must be a positive number")
+        T_final = _number(r, "run.T_final", positive=True)
         if not isinstance(r["checks"], list):
             raise ConfigError("run.checks must be a list of check names")
         checks = tuple(r["checks"])
@@ -133,10 +134,8 @@ class RunConfig:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"run.checks: unknown check {c!r}")
         window_r = r["window_r"]
-        if window_r is not None and not (is_number(window_r) and grid.dx <= window_r < np.inf):
-            raise ConfigError(
-                f"run.window_r must be a number >= dx={grid.dx:g}, got {window_r!r}"
-            )
+        if window_r is not None:
+            window_r = _number(r, "run.window_r", at_least=grid.dx)
 
         _require_keys(doc.get("output", {}), "output", (), tuple(DEFAULTS["output"]))
         o = {**DEFAULTS["output"], **doc.get("output", {})}
@@ -149,7 +148,7 @@ class RunConfig:
 
         return cls(
             grid=grid, params=params, data=data, solver=solver,
-            T_final=float(r["T_final"]), checks=checks,
+            T_final=float(T_final), checks=checks,
             window_r=None if window_r is None else float(window_r),
             out_dir=str(o["directory"]), formats=formats, raw=doc,
         )
@@ -159,8 +158,8 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return RunConfig.from_dict(doc)

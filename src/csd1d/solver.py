@@ -12,8 +12,10 @@ Two backends produce the same trajectories up to second order:
   the initial data held constant in time.  Each iteration appends one
   history entry: ``sup``, the largest change of any field at any grid
   point and time (NaN once any change is), which decides convergence,
-  and ``weighted``, the proof's bookkeeping metric between the two
-  iterates, reported but not used to decide.
+  and, unless the caller passes ``weighted=False``, ``weighted``, the
+  proof's bookkeeping metric between the two iterates, reported but not
+  used to decide.  Only ``csd1d solve`` writes it (to report.json), so
+  every other caller turns it off.
 * ``march`` advances step by step along characteristics.  The gauge
   term is applied as an exact unimodular phase factor, so the modulus
   of a free spinor and the m = 0 charge are preserved to roundoff.
@@ -212,21 +214,6 @@ class Trajectory:
         f_m = 1j * self.a_plus * self.psi_minus - 1j * m * self.psi_plus
         return SourceTrace(self.grid, f_p), SourceTrace(self.grid, f_m)
 
-    def extended_with(self, other: "Trajectory") -> "Trajectory":
-        if not np.isclose(other.t0, float(self.times[-1]), atol=1e-9 * self.grid.dt):
-            raise ValueError("trajectories are not contiguous in time")
-        cat = lambda a, b: np.concatenate([a, b[1:]], axis=0)
-        return Trajectory(
-            grid=self.grid,
-            params=self.params,
-            t0=self.t0,
-            psi_plus=cat(self.psi_plus, other.psi_plus),
-            psi_minus=cat(self.psi_minus, other.psi_minus),
-            a_plus=cat(self.a_plus, other.a_plus),
-            a_minus=cat(self.a_minus, other.a_minus),
-            slab_histories=self.slab_histories + other.slab_histories,
-        )
-
 
 @dataclass(frozen=True)
 class DecomposedTrajectory:
@@ -370,8 +357,9 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
 # Picard backend
 
 
-def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
-    """(sup difference, weighted metric) between two Picard iterates.
+def _iterate_distance(new, old, grid: Grid, p: float, weighted: bool = True):
+    """(sup difference, weighted metric) between two Picard iterates;
+    the metric is None unless weighted.
 
     The weighted metric is the proof's bookkeeping metric: sup-in-time
     L^p distances of the fields plus weight-3 space-time L^p distances
@@ -381,12 +369,15 @@ def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
     difference is, so a diverged iterate never reads as converged.
     """
     sups = []
-    weighted = 0.0
+    metric = 0.0
     for a, b in zip(new, old):
         mag = np.abs(a - b)
         sups.append(mag.max(initial=0.0))
-        weighted += float(row_lp(mag, grid.dx, p).max(initial=0.0))
+        if weighted:
+            metric += float(row_lp(mag, grid.dx, p).max(initial=0.0))
     del mag
+    if not weighted:
+        return float(np.max(sups)), None
     np_p, np_m, na_p, na_m = new
     op_p, op_m, oa_p, oa_m = old
     # both orders of the psi product are kept: complex multiplication is
@@ -399,8 +390,8 @@ def _iterate_distance(new, old, grid: Grid, p: float) -> tuple[float, float]:
     ):
         diff = a * b
         diff -= c * d
-        weighted += 3.0 * spacetime_lp_norm(diff, grid, p)
-    return float(np.max(sups)), weighted
+        metric += 3.0 * spacetime_lp_norm(diff, grid, p)
+    return float(np.max(sups)), metric
 
 
 def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
@@ -424,7 +415,7 @@ def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
     return pp, pm
 
 
-def _picard(initial: State, K: int, cfg: SolverConfig):
+def _picard(initial: State, K: int, cfg: SolverConfig, weighted: bool):
     """Successive approximation on a K-step slab.  Both schemes share
     the gauge update; the spinor update is the integral map for null
     couplings and the frozen-gauge linear march for the identity."""
@@ -463,8 +454,8 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
                 characteristic_integral_rows(P, -1, dt, base_am),
             )
             del P
-            d_sup, d_w = _iterate_distance(new, it, initial.grid, p)
-            history.append({"sup": d_sup, "weighted": d_w})
+            d_sup, d_w = _iterate_distance(new, it, initial.grid, p, weighted)
+            history.append({"sup": d_sup} if d_w is None else {"sup": d_sup, "weighted": d_w})
             it = new
             if d_sup < cfg.picard_tol:
                 return it, history
@@ -475,17 +466,20 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
     )
 
 
-def picard_slab(initial: State, cfg: SolverConfig, steps: int | None = None):
+def picard_slab(
+    initial: State, cfg: SolverConfig, steps: int | None = None, weighted: bool = True
+):
     """One converged slab of the successive-approximation scheme.
 
     Returns (Trajectory over [t, t + steps*dt], iterate history), where
-    the history holds per-iteration sup and weighted-metric differences.
+    the history holds per-iteration sup differences and, unless
+    weighted is False, weighted-metric differences.
     """
     grid = initial.grid
     if steps is None:
         steps = cfg.slab_steps(grid)
     check_containment(grid, steps, *initial.arrays())
-    (pp, pm, ap, am), history = _picard(initial, steps, cfg)
+    (pp, pm, ap, am), history = _picard(initial, steps, cfg, weighted)
     traj = Trajectory(grid, initial.params, initial.t, pp, pm, ap, am, slab_histories=[history])
     return traj, history
 
@@ -502,12 +496,16 @@ def measured_contraction(history, floor: float = 1e-12) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajectory:
+def solve_global(
+    initial: State, T_final: float, cfg: SolverConfig, weighted: bool = True
+) -> Trajectory:
     """Continue slab solves up to T_final.
 
     With auto_slab the slab length is halved whenever an iteration fails
     to converge or its measured contraction factor is >= 1/2, mirroring
-    the role of the implicit smallness-of-T condition.
+    the role of the implicit smallness-of-T condition.  The rows of each
+    accepted slab are copied into one trajectory allocated up front; a
+    rejected attempt writes none.  weighted is as for picard_slab.
     """
     grid = initial.grid
     total_steps = step_count("T_final", T_final, grid.dt)
@@ -515,13 +513,16 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
         return march(initial, total_steps)
 
     slab_steps = min(cfg.slab_steps(grid), max(total_steps, 1))
+    if total_steps == 0:
+        return picard_slab(initial, cfg, steps=0, weighted=weighted)[0]
+    traces = [np.empty((total_steps + 1, grid.n_cells), v.dtype) for v in initial.arrays()]
+    histories = []
     done = 0
     cur = initial
-    traj: Trajectory | None = None
     while done < total_steps:
         k = min(slab_steps, total_steps - done)
         try:
-            piece, history = picard_slab(cur, cfg, steps=k)
+            piece, history = picard_slab(cur, cfg, steps=k, weighted=weighted)
             if cfg.auto_slab and k > 1 and measured_contraction(history) >= 0.5:
                 raise ConvergenceFailureError("contraction factor >= 1/2", history=history)
         except ConvergenceFailureError as exc:
@@ -542,12 +543,15 @@ def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajector
                 ) from exc
             slab_steps = max(1, slab_steps // 2)
             continue
-        traj = piece if traj is None else traj.extended_with(piece)
+        # the first slab gives row 0 and each later slab rows 1..k: a
+        # slab's row 0 can differ from its start state in a zero's sign
+        first = 0 if done == 0 else 1
+        for out, rows in zip(traces, piece.field_traces().values()):
+            out[done + first : done + k + 1] = rows[first:]
+        histories.append(history)
         cur = piece.final_state
         done += k
-    if traj is None:  # zero-length run
-        traj, _ = picard_slab(cur, cfg, steps=0)
-    return traj
+    return Trajectory(grid, initial.params, initial.t, *traces, slab_histories=histories)
 
 
 def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -> float:
@@ -562,8 +566,8 @@ def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -
     )
     if denom == 0.0:
         raise ValueError("datasets are identical; difference quotient undefined")
-    traj_a = solve_global(data_a, T, cfg)
-    traj_b = solve_global(data_b, T, cfg)
+    traj_a = solve_global(data_a, T, cfg, weighted=False)
+    traj_b = solve_global(data_b, T, cfg, weighted=False)
     num = 0.0
     for name in ("psi_plus", "psi_minus", "a_plus", "a_minus"):
         diff = traj_a.field_traces()[name] - traj_b.field_traces()[name]

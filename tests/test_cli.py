@@ -1,6 +1,8 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,26 @@ def test_solve_missing_config_exit_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_solve_config_directory_exit_2(tmp_path):
+    # an unreadable file takes the same path, but as root it can be read
+    result = CliRunner().invoke(main, ["solve", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == f"error: cannot read config file {tmp_path}: Is a directory\n"
+
+
+def test_solve_picard_report_has_weighted_metric(tmp_path):
+    # solve is the one caller that writes the bookkeeping metric
+    out = tmp_path / "o"
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "gaussian_null.json").read_text())
+    doc["grid"]["n_cells"] = 128
+    doc["output"]["directory"] = str(out)
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 0, result.output
+    history = json.loads((out / "report.json").read_text())["iterate_history"]
+    assert history
+    assert all(math.isfinite(h["weighted"]) for h in history)
+
+
 def test_solve_schema_error_exit_2(tmp_path):
     doc = base_config(tmp_path / "o")
     doc["model"].pop("m")
@@ -240,10 +262,15 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("data.psi1", "amplitude", "big", "data.psi1.amplitude must be a number"),
         ("data.psi1", "seed", "x", "data.psi1.seed must be an integer"),
         ("data.psi1", "n_bumps", "3", "data.psi1.n_bumps must be an integer"),
+        ("model", "p", True, "model.p must be a number >= 1"),
+        ("model", "m", float("nan"), "model.m must be a number >= 0"),
+        ("grid", "x_min", False, "grid.x_min must be a number"),
+        ("grid", "x_max", "8", "grid.x_max must be a number"),
     ],
     ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
          "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
-         "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string"],
+         "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string",
+         "p_bool", "m_nan", "x_min_bool", "x_max_string"],
 )
 def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
     out = tmp_path / "o"

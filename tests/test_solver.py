@@ -216,6 +216,25 @@ def test_slab_failure_without_auto_slab_names_the_slab(grid):
     assert "8-step slab" in msg and "auto_slab off" in msg
 
 
+@pytest.mark.parametrize("kind", list(CouplingKind))
+def test_weighted_off_keeps_trajectory_and_sup(kind):
+    # at this size auto_slab must halve the 0.5-long slab, so a rejected
+    # attempt sits between the accepted ones
+    grid = make_grid(-8.0, 8.0, 256)
+    s = scale_state(bump_state(grid, ModelParams(alpha=kind, m=1.0, p=2.0), seed=3), 20.0)
+    cfg = SolverConfig(slab_T=0.5)
+    on = solve_global(s, 0.5, cfg)
+    off = solve_global(s, 0.5, cfg, weighted=False)
+    assert len(on.slab_histories) > 1
+    for name, trace in on.field_traces().items():
+        other = off.field_traces()[name]
+        assert other.dtype == trace.dtype and other.tobytes() == trace.tobytes()
+    sups = lambda traj: [[h["sup"] for h in hist] for hist in traj.slab_histories]
+    assert sups(off) == sups(on)
+    assert all(list(h) == ["sup"] for hist in off.slab_histories for h in hist)
+    assert all(list(h) == ["sup", "weighted"] for hist in on.slab_histories for h in hist)
+
+
 def test_iterate_distance_nan_in_last_field_is_not_converged():
     # a running max(0.0, nan) is 0.0: the NaN must not be dropped
     grid = make_grid(-1.0, 1.0, 8)
