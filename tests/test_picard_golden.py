@@ -10,9 +10,10 @@
   for real, complex and mixed (real data, complex source) inputs, must
   reproduce the recorded trace bytes (SHA-256 pinned below).
 * CLI: `csd1d solve` of configs/gaussian_null.json at n=128 with all
-  five checks, on both backends, must write the recorded
-  trajectory.csv bytes and the recorded `checks` block of report.json
-  (SHA-256 pinned below).
+  five checks, on both backends and for model.p in {1, 2, inf}, must
+  write the recorded trajectory.csv bytes and the recorded `checks`
+  block of report.json, and exit with the recorded code (SHA-256
+  pinned below; a key without a "-p" suffix is the config's p = 2).
 
 The Picard reference was recorded before the single-loop Picard
 rewrite, the march reference before the march kernels were changed to
@@ -65,7 +66,7 @@ TRANSPORT_GOLDEN = {
     "minus-complex": "de266905f918c7bb791f56cd3be995e8d00abc5aea75e903fee001d20f6ebdc6",
     "minus-mixed": "159db6ab2f7f93b0e93002ef07a283bfc24cf2cb7eee5ba78703632284eed328",
 }
-# the march run fails its charge check at this resolution (exit 1)
+# the march runs fail their charge check at this resolution (exit 1)
 SOLVE_GOLDEN = {
     "picard": {
         "exit_code": 0,
@@ -76,6 +77,26 @@ SOLVE_GOLDEN = {
         "exit_code": 1,
         "trajectory.csv": "112ac20eb73b52f35bc7d5315fd04280557f76345a808cb601f1e80e9b751fd0",
         "checks": "a90bc76b614f394bfbdd323b16755afc205d9a0a76d74ac34cebd2f2e20f970f",
+    },
+    "picard-p1": {
+        "exit_code": 0,
+        "trajectory.csv": "f9d1cb24e49f4405e8fe8683f5676fa4f693143336ec32177a2c3b42890eadf1",
+        "checks": "37e597e4fc5a58688e6ca82103dff2f175980311c1bff767aa7e91d74d31d411",
+    },
+    "picard-pinf": {
+        "exit_code": 0,
+        "trajectory.csv": "8b1f4747e1c81de91913ebdfe44afadb7ce88f5ecceb9881a5491f38c1a8f488",
+        "checks": "6b3e7ae682308e85df6c548f11e74a1fc0b9402aff518e59427641063c2be166",
+    },
+    "march-p1": {
+        "exit_code": 1,
+        "trajectory.csv": "016f0e41a3b68bcc5ff83c667d322de23918d22f1e896d4e110dd1d2f579751e",
+        "checks": "480f8f38ad8d69e9824721eec5918e27a738b3d7a856e0970a0d5a38002eb9bf",
+    },
+    "march-pinf": {
+        "exit_code": 1,
+        "trajectory.csv": "267597e960efe1b47b01b359e967f210e15ee94a29379c7fef64216d02c36858",
+        "checks": "5bad0003eeae58f1d3fd8e35d2abed29c5d0a22cbee4198b9ca8e17262ab429f",
     },
 }
 DECOMPOSED_FIELDS = (
@@ -142,15 +163,18 @@ def _run_transport_case(key) -> str:
     return _sha256({"trace": trace})["trace"]
 
 
-def _run_solve_case(tmp_path, backend) -> dict:
+def _run_solve_case(tmp_path, key) -> dict:
+    backend, _, p = key.partition("-p")
     doc = json.loads(CONFIG.read_text())
     doc["grid"]["n_cells"] = 128
     doc["solver"]["backend"] = backend
-    doc["output"]["directory"] = str(tmp_path / backend)
-    path = tmp_path / f"{backend}.json"
+    if p:
+        doc["model"]["p"] = 1 if p == "1" else p
+    doc["output"]["directory"] = str(tmp_path / key)
+    path = tmp_path / f"{key}.json"
     path.write_text(json.dumps(doc))
     result = CliRunner().invoke(main, ["solve", str(path)])
-    out = tmp_path / backend
+    out = tmp_path / key
     checks = json.loads((out / "report.json").read_text())["checks"]
     assert sorted(checks) == ["bilinear", "charge", "concentration", "envelope", "intrinsic"]
     return {
@@ -165,9 +189,9 @@ def test_transport_matches_golden(key):
     assert _run_transport_case(key) == TRANSPORT_GOLDEN[key]
 
 
-@pytest.mark.parametrize("backend", list(SOLVE_GOLDEN))
-def test_solve_artifacts_match_golden(tmp_path, backend):
-    assert _run_solve_case(tmp_path, backend) == SOLVE_GOLDEN[backend]
+@pytest.mark.parametrize("key", list(SOLVE_GOLDEN))
+def test_solve_artifacts_match_golden(tmp_path, key):
+    assert _run_solve_case(tmp_path, key) == SOLVE_GOLDEN[key]
 
 
 @pytest.mark.parametrize("kind,p", CASES, ids=[_case_key(k, p) for k, p in CASES])
@@ -195,4 +219,4 @@ if __name__ == "__main__":
     MARCH_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print({key: _run_transport_case(key) for key in TRANSPORT_GOLDEN})
     with tempfile.TemporaryDirectory() as tmp:
-        print({b: _run_solve_case(Path(tmp), b) for b in SOLVE_GOLDEN})
+        print({k: _run_solve_case(Path(tmp), k) for k in SOLVE_GOLDEN})
