@@ -30,6 +30,7 @@ from .diagnostics import (
     intrinsic_bound_report,
 )
 from .errors import DomainOverflowError, SlabUnderflowError
+from .lattice import row_lp
 from .solver import solve_decomposed, solve_global
 from .suites import SUITE_NAMES, run_suite
 from .transport import bilinear_bound_check
@@ -119,14 +120,27 @@ def _exit_codes():
 
 
 def _trajectory_rows(traj, p):
-    series = {q: traj.lp_series(q) for q in (1.0, 2.0, p, np.inf)}
-    charge = traj.charge()
+    """CSV header and rows: per time, the L^1, L^2, L^p and L^inf norms
+    of each field, then the charge.  Each field's modulus is taken once
+    and each distinct exponent evaluated once; the charge is
+    Trajectory.charge formed from the same psi moduli."""
+    qs = (1.0, 2.0, p, np.inf)
+    dx = traj.grid.dx
+    series = {}
+    psi_sq = []
+    for name, trace in traj.field_traces().items():
+        mag = np.abs(trace)
+        norms = {q: row_lp(mag, dx, q) for q in dict.fromkeys(qs)}
+        series[name] = [norms[q] for q in qs]
+        if name in ("psi_plus", "psi_minus"):
+            psi_sq.append((mag**2).sum(axis=1))
+        del mag  # free before the next field's modulus is taken
+    charge = (psi_sq[0] + psi_sq[1]) * dx
     rows = []
     for i, t in enumerate(traj.times):
         row = [float(t)]
         for name in FIELD_NAMES:
-            for q in (1.0, 2.0, p, np.inf):
-                row.append(float(series[q][name][i]))
+            row.extend(float(norm[i]) for norm in series[name])
         row.append(float(charge[i]))
         rows.append(row)
     header = ["t"]

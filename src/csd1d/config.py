@@ -8,6 +8,7 @@ fail loudly, and every message names the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,12 +49,22 @@ def _require_keys(section: dict, path: str, required: tuple, optional: tuple = (
             raise ConfigError(f"missing key {path}.{key}")
 
 
+def _is_finite_float(value) -> bool:
+    """value converts to a finite float; an integer too large for one
+    does not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(section: dict, path: str, integer=False, at_least=None, positive=False):
-    """The finite number (an integer, if asked) at path "<section>.<key>",
-    above 0 if positive, else no less than at_least if given;
-    ConfigError naming the key otherwise."""
+    """The number at path "<section>.<key>": any integer if integer is
+    set, else one that converts to a finite float; above 0 if positive,
+    else no less than at_least if given.  ConfigError naming the key
+    otherwise."""
     value = section[path.rsplit(".", 1)[1]]
-    if not ((is_integer if integer else is_number)(value) and -np.inf < value < np.inf
+    if not ((is_integer(value) if integer else is_number(value) and _is_finite_float(value))
             and (value > 0 if positive else at_least is None or value >= at_least)):
         noun = "integer" if integer else "number"
         what = f"a positive {noun}" if positive else ("an " if integer else "a ") + noun

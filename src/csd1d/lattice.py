@@ -11,6 +11,7 @@ data support fattened by the simulated time, which the solver checks.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
         raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    if n_cells > sys.float_info.max:
+        raise ValueError(f"n_cells is too large for a float, got {n_cells}")
     dx = (x_max - x_min) / n_cells
     return Grid(x_min=float(x_min), n_cells=int(n_cells), dx=dx)
 

@@ -18,7 +18,11 @@ Two backends produce the same trajectories up to second order:
   every other caller turns it off.
 * ``march`` advances step by step along characteristics.  The gauge
   term is applied as an exact unimodular phase factor, so the modulus
-  of a free spinor and the m = 0 charge are preserved to roundoff.
+  of a free spinor and the m = 0 charge are preserved to roundoff.  The
+  factor exp(i theta) is formed as cos(theta) + i sin(theta), bitwise
+  equal to numpy's complex exponential for every finite angle, and the
+  coupling of each new step's spinor serves both that step's gauge
+  update and the next step's phases.
 
 ``solve_global`` chains converged slabs, shrinking the slab length
 until the measured contraction factor drops below 1/2 when requested.
@@ -255,6 +259,23 @@ class DecomposedTrajectory:
 # marching backend
 
 
+def _unit_phase(theta):
+    """exp(1j * theta) for a real array theta, as cos + i sin written
+    into one complex array.
+
+    For finite angles the result is bitwise that of np.exp(1j * theta).
+    There the imaginary part of 1j * theta is +0.0 where theta is -0.0,
+    so the sine is taken of theta + 0.0.  An infinite angle gives a NaN
+    whose sign bit is the opposite of np.exp's, and numpy's invalid-value
+    warning names cos instead of exp; both NaNs print as nan.
+    """
+    theta = theta + 0.0
+    out = np.empty(theta.shape, complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _march_phases(ap, am, P, dt):
     """Trapezoidal averages of the gauge fields along the incoming
     characteristics, as unimodular factors, and the gauge update that
@@ -263,8 +284,8 @@ def _march_phases(ap, am, P, dt):
     sap, sam = shift_values(ap, +1), shift_values(am, -1)
     sPp, sPm = shift_values(P, +1), shift_values(P, -1)
     # A_-+ at the foot of the +- characteristic, one cell to the left/right
-    phase_p = np.exp(1j * dt * 0.5 * (shift_values(am, +1) + (sam + dt * sPm)))
-    phase_m = np.exp(1j * dt * 0.5 * (shift_values(ap, -1) + (sap - dt * sPp)))
+    phase_p = _unit_phase(dt * 0.5 * (shift_values(am, +1) + (sam + dt * sPm)))
+    phase_m = _unit_phase(dt * 0.5 * (shift_values(ap, -1) + (sap - dt * sPp)))
 
     def gauge_update(P_new):
         return sap - 0.5 * dt * (sPp + P_new), sam + 0.5 * dt * (sPm + P_new)
@@ -305,12 +326,12 @@ def march(initial: State, steps: int) -> Trajectory:
     ap = np.empty((steps + 1, n), float)
     am = np.empty((steps + 1, n), float)
     pp[0], pm[0], ap[0], am[0] = initial.arrays()
+    P = coupling_values(pp[0], pm[0], alpha)
     for i in range(steps):
-        phase_p, phase_m, gauge_update = _march_phases(
-            ap[i], am[i], coupling_values(pp[i], pm[i], alpha), dt
-        )
+        phase_p, phase_m, gauge_update = _march_phases(ap[i], am[i], P, dt)
         pp[i + 1], pm[i + 1] = _march_spinor(phase_p, phase_m, pp[i], pm[i], pp[i], pm[i], m, dt)
-        ap[i + 1], am[i + 1] = gauge_update(coupling_values(pp[i + 1], pm[i + 1], alpha))
+        P = coupling_values(pp[i + 1], pm[i + 1], alpha)
+        ap[i + 1], am[i + 1] = gauge_update(P)
     return Trajectory(grid, initial.params, initial.t, pp, pm, ap, am)
 
 
@@ -337,19 +358,19 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
     np_[0] = np.zeros(n, complex)
     nm[0] = np.zeros(n, complex)
     ap[0], am[0] = initial.a_plus.values, initial.a_minus.values
+    # the full spinor and its coupling at the current step
+    pp_tot, pm_tot = lp[0] + np_[0], lm[0] + nm[0]
+    P = coupling_values(pp_tot, pm_tot, alpha)
     for i in range(steps):
-        pp_tot = lp[i] + np_[i]
-        pm_tot = lm[i] + nm[i]
-        P = coupling_values(pp_tot, pm_tot, alpha)
         phase_p, phase_m, gauge_update = _march_phases(ap[i], am[i], P, dt)
         lp[i + 1] = phase_p * shift_values(lp[i], +1)
         lm[i + 1] = phase_m * shift_values(lm[i], -1)
         np_[i + 1], nm[i + 1] = _march_spinor(
             phase_p, phase_m, np_[i], nm[i], pp_tot, pm_tot, m, dt
         )
-        ap[i + 1], am[i + 1] = gauge_update(
-            coupling_values(lp[i + 1] + np_[i + 1], lm[i + 1] + nm[i + 1], alpha)
-        )
+        pp_tot, pm_tot = lp[i + 1] + np_[i + 1], lm[i + 1] + nm[i + 1]
+        P = coupling_values(pp_tot, pm_tot, alpha)
+        ap[i + 1], am[i + 1] = gauge_update(P)
     return DecomposedTrajectory(grid, initial.params, initial.t, lp, lm, np_, nm, ap, am)
 
 

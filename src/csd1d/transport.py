@@ -54,11 +54,13 @@ def support_cells(values: np.ndarray, atol: float) -> tuple[int, int] | None:
 
 def check_containment(grid: Grid, steps: int, *arrays: np.ndarray) -> None:
     """Refuse solves whose cone of support would leave the grid."""
-    scale = max((float(np.abs(a).max(initial=0.0)) for a in arrays), default=0.0)
+    # each array's modulus once, as its largest modulus per cell over time
+    profiles = [np.abs(a) if a.ndim == 1 else np.abs(a).max(axis=0) for a in arrays]
+    scale = max((float(v.max(initial=0.0)) for v in profiles), default=0.0)
     atol = 1e-14 * max(1.0, scale)
     lo, hi = grid.n_cells, -1
-    for a in arrays:
-        rng = support_cells(a.ravel() if a.ndim == 1 else np.abs(a).max(axis=0), atol)
+    for v in profiles:
+        rng = support_cells(v, atol)
         if rng is not None:
             lo, hi = min(lo, rng[0]), max(hi, rng[1])
     if hi < 0:

@@ -266,11 +266,19 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("model", "m", float("nan"), "model.m must be a number >= 0"),
         ("grid", "x_min", False, "grid.x_min must be a number"),
         ("grid", "x_max", "8", "grid.x_max must be a number"),
+        # integers too large for a float
+        ("grid", "n_cells", 10**400, "grid: n_cells is too large for a float"),
+        ("grid", "x_max", 10**400, "grid.x_max must be a number"),
+        ("model", "m", 10**400, "model.m must be a number >= 0"),
+        ("model", "p", 10**400, "model.p must be a number >= 1"),
+        ("run", "T_final", 10**400, "run.T_final must be a positive number"),
+        ("data.psi1", "amplitude", -10**400, "data.psi1.amplitude must be a number"),
     ],
     ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
          "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
          "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string",
-         "p_bool", "m_nan", "x_min_bool", "x_max_string"],
+         "p_bool", "m_nan", "x_min_bool", "x_max_string", "n_cells_huge", "x_max_huge",
+         "m_huge", "p_huge", "T_final_huge", "amplitude_huge"],
 )
 def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
     out = tmp_path / "o"

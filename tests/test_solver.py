@@ -20,7 +20,13 @@ from csd1d import (
     make_grid,
 )
 from csd1d.lattice import shift_values
-from csd1d.solver import _iterate_distance, contraction_ratios, measured_contraction
+import csd1d.solver
+from csd1d.solver import (
+    _iterate_distance,
+    _unit_phase,
+    contraction_ratios,
+    measured_contraction,
+)
 
 from conftest import bump_state
 
@@ -104,6 +110,46 @@ def test_trajectory_bookkeeping(grid):
     assert np.array_equal(fin.psi_plus.values, traj.psi_plus[8])
     series = traj.lp_series(2.0)
     assert set(series) == {"psi_plus", "psi_minus", "a_plus", "a_minus"}
+
+
+def test_unit_phase_is_complex_exp_bitwise():
+    # finite angles: signed zeros, subnormals, the smallest normal, and
+    # eight random angles per decade from 1e-300 to 1e300, shuffled so
+    # that the special values sit in different SIMD lanes
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -np.pi]
+    decades = 10.0 ** np.arange(-300, 301)
+    random = (rng.uniform(-1.0, 1.0, (8, 601)) * decades).ravel()
+    theta = rng.permutation(np.concatenate([special, random]))
+
+    def bits(z):
+        return z.view(np.uint64)
+
+    assert np.array_equal(bits(_unit_phase(theta)), bits(np.exp(1j * theta)))
+    lengths = list(range(1, 65)) + [n + d for n in (128, 512, 1024, 2048, 4096) for d in (-1, 0)]
+    for n in lengths:
+        t = theta[n % 13 : n % 13 + n]
+        assert np.array_equal(bits(_unit_phase(t)), bits(np.exp(1j * t))), n
+
+
+@pytest.mark.parametrize("backend", ["march", "solve_decomposed"])
+def test_march_evaluates_one_coupling_per_step(grid, monkeypatch, backend):
+    # each step's new coupling also drives the next step's phases
+    calls = []
+    coupling_values = csd1d.solver.coupling_values
+
+    def counted(*args):
+        calls.append(args)
+        return coupling_values(*args)
+
+    monkeypatch.setattr(csd1d.solver, "coupling_values", counted)
+    s = bump_state(grid, ModelParams(alpha=CouplingKind.IDENTITY, m=1.0), seed=8)
+    k = 12
+    if backend == "march":
+        march(s, k)
+    else:
+        solve_decomposed(s, k * grid.dt, SolverConfig(backend="march"))
+    assert len(calls) == k + 1
 
 
 def test_picard_null_converges_and_matches_march(grid):
