@@ -14,6 +14,10 @@
   write the recorded trajectory.csv bytes and the recorded `checks`
   block of report.json, and exit with the recorded code (SHA-256
   pinned below; a key without a "-p" suffix is the config's p = 2).
+* Convergence: `csd1d convergence --levels 3` of
+  configs/gaussian_null.json from n=128, for the gamma0 and identity
+  couplings, must write the recorded convergence.csv bytes (SHA-256
+  pinned below).
 
 The Picard reference was recorded before the single-loop Picard
 rewrite, the march reference before the march kernels were changed to
@@ -98,6 +102,10 @@ SOLVE_GOLDEN = {
         "trajectory.csv": "267597e960efe1b47b01b359e967f210e15ee94a29379c7fef64216d02c36858",
         "checks": "5bad0003eeae58f1d3fd8e35d2abed29c5d0a22cbee4198b9ca8e17262ab429f",
     },
+}
+CONVERGENCE_GOLDEN = {
+    "gamma0": "8641de71dbe3c9c2b1cbac3b007476cba87d84e345eb6544b32dbc1f82e20acc",
+    "identity": "98706acf242b80b318cabbb6eb2f5a8c43550847f76ca12bbb9b210a624c4996",
 }
 DECOMPOSED_FIELDS = (
     "psi_l_plus", "psi_l_minus", "psi_n_plus", "psi_n_minus", "a_plus", "a_minus"
@@ -184,6 +192,18 @@ def _run_solve_case(tmp_path, key) -> dict:
     }
 
 
+def _run_convergence_case(tmp_path, alpha) -> str:
+    doc = json.loads(CONFIG.read_text())
+    doc["grid"]["n_cells"] = 128
+    doc["model"]["alpha"] = alpha
+    doc["output"]["directory"] = str(tmp_path / alpha)
+    path = tmp_path / f"{alpha}.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["convergence", str(path), "--levels", "3"])
+    assert result.exit_code == 0, result.output
+    return hashlib.sha256((tmp_path / alpha / "convergence.csv").read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("key", list(TRANSPORT_GOLDEN))
 def test_transport_matches_golden(key):
     assert _run_transport_case(key) == TRANSPORT_GOLDEN[key]
@@ -192,6 +212,11 @@ def test_transport_matches_golden(key):
 @pytest.mark.parametrize("key", list(SOLVE_GOLDEN))
 def test_solve_artifacts_match_golden(tmp_path, key):
     assert _run_solve_case(tmp_path, key) == SOLVE_GOLDEN[key]
+
+
+@pytest.mark.parametrize("alpha", list(CONVERGENCE_GOLDEN))
+def test_convergence_csv_matches_golden(tmp_path, alpha):
+    assert _run_convergence_case(tmp_path, alpha) == CONVERGENCE_GOLDEN[alpha]
 
 
 @pytest.mark.parametrize("kind,p", CASES, ids=[_case_key(k, p) for k, p in CASES])
@@ -220,3 +245,4 @@ if __name__ == "__main__":
     print({key: _run_transport_case(key) for key in TRANSPORT_GOLDEN})
     with tempfile.TemporaryDirectory() as tmp:
         print({k: _run_solve_case(Path(tmp), k) for k in SOLVE_GOLDEN})
+        print({a: _run_convergence_case(Path(tmp), a) for a in CONVERGENCE_GOLDEN})
