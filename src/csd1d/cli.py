@@ -6,6 +6,12 @@ report), 4 for support leaving the grid, and 1 when a check or a
 `verify` trial row fails.
 trajectory.csv and report.json are byte-deterministic for a fixed
 config and seed; wall-clock time lives only in meta.json.
+
+Each whole-trajectory array is released after its last reader.  A
+`solve` holds its trajectory until the artifacts are written; at its
+peak, during the intrinsic check, the decomposed march is alive beside
+it.  Every other check's trajectory-sized arrays are released before
+the next check, and `convergence` keeps only each level's final state.
 """
 
 from __future__ import annotations
@@ -160,17 +166,16 @@ def _run_checks(cfg: RunConfig, state, traj) -> dict:
             if check == "charge":
                 _, rep = charge_series(traj)
             elif check == "intrinsic":
-                dtraj = solve_decomposed(state, cfg.T_final, cfg.solver)
-                rep = intrinsic_bound_report(dtraj, p)
+                # the decomposed march is dropped as soon as the report returns
+                rep = intrinsic_bound_report(solve_decomposed(state, cfg.T_final, cfg.solver), p)
             elif check == "envelope":
                 rep = corollary_envelope_report(traj, p)
             elif check == "concentration":
                 r = cfg.window_r if cfg.window_r is not None else 16 * cfg.grid.dx
                 _, rep = concentration_monitor(traj, float(r), initial=state)
             else:  # bilinear
-                f_p, f_m = traj.psi_source_traces()
                 rep = bilinear_bound_check(
-                    state.psi_plus, state.psi_minus, f_p, f_m, p, cfg.T_final
+                    state.psi_plus, state.psi_minus, *traj.psi_source_traces(), p, cfg.T_final
                 )
         except ValueError as exc:
             raise ValueError(f"check {check!r}: {exc}") from None
@@ -285,8 +290,11 @@ def convergence(config_path, levels):
         doc["grid"]["n_cells"] = cfg.grid.n_cells * 2**k
         level_cfg = RunConfig.from_dict(doc)
         state = build_initial_state(level_cfg)
-        traj = solve_global(state, level_cfg.T_final, level_cfg.solver, weighted=False)
-        finals.append(traj.final_state)
+        # only the final state is kept, so no level's trajectory is alive
+        # during the next level's solve
+        finals.append(
+            solve_global(state, level_cfg.T_final, level_cfg.solver, weighted=False).final_state
+        )
         sizes.append(level_cfg.grid.n_cells)
 
     diffs = {name: [] for name in FIELD_NAMES}

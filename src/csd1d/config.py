@@ -32,6 +32,8 @@ KNOWN_CHECKS = ("charge", "intrinsic", "envelope", "concentration", "bilinear")
 
 _DATA_NUMBERS = ("center", "width", "amplitude", "phase", "wavenumber", "spread")
 _DATA_INTEGERS = ("seed", "n_bumps")
+# random_bumps adds its bumps one by one, so their count is bounded
+_DATA_BOUNDS = {"n_bumps": {"at_least": 0, "at_most": 10_000}}
 
 
 class ConfigError(ValueError):
@@ -58,17 +60,22 @@ def _is_finite_float(value) -> bool:
         return False
 
 
-def _number(section: dict, path: str, integer=False, at_least=None, positive=False):
+def _number(section: dict, path: str, integer=False, at_least=None, at_most=None,
+            positive=False):
     """The number at path "<section>.<key>": any integer if integer is
     set, else one that converts to a finite float; above 0 if positive,
-    else no less than at_least if given.  ConfigError naming the key
-    otherwise."""
+    else no less than at_least if given; no more than at_most if given.
+    ConfigError naming the key otherwise."""
     value = section[path.rsplit(".", 1)[1]]
     if not ((is_integer(value) if integer else is_number(value) and _is_finite_float(value))
-            and (value > 0 if positive else at_least is None or value >= at_least)):
+            and (value > 0 if positive else at_least is None or value >= at_least)
+            and (at_most is None or value <= at_most)):
         noun = "integer" if integer else "number"
         what = f"a positive {noun}" if positive else ("an " if integer else "a ") + noun
-        bound = "" if at_least is None else f" >= {at_least:g}"
+        bound = " and ".join(
+            f"{op} {b:g}" for op, b in ((">=", at_least), ("<=", at_most)) if b is not None
+        )
+        bound = f" {bound}" if bound else ""
         raise ConfigError(f"{path} must be {what}{bound}, got {value!r}")
     return value
 
@@ -77,7 +84,8 @@ def _parse_dataspec(section, path: str) -> DataSpec:
     _require_keys(section, path, (), ("kind",) + _DATA_NUMBERS + _DATA_INTEGERS)
     for key in section:
         if key in _DATA_NUMBERS + _DATA_INTEGERS:
-            _number(section, f"{path}.{key}", integer=key in _DATA_INTEGERS)
+            _number(section, f"{path}.{key}", integer=key in _DATA_INTEGERS,
+                    **_DATA_BOUNDS.get(key, {}))
     try:
         return DataSpec(**section)
     except ValueError as exc:

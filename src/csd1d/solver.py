@@ -526,7 +526,8 @@ def solve_global(
     to converge or its measured contraction factor is >= 1/2, mirroring
     the role of the implicit smallness-of-T condition.  The rows of each
     accepted slab are copied into one trajectory allocated up front; a
-    rejected attempt writes none.  weighted is as for picard_slab.
+    rejected attempt writes none.  No slab, accepted or rejected, is
+    alive during the next slab's solve.  weighted is as for picard_slab.
     """
     grid = initial.grid
     total_steps = step_count("T_final", T_final, grid.dt)
@@ -545,6 +546,7 @@ def solve_global(
         try:
             piece, history = picard_slab(cur, cfg, steps=k, weighted=weighted)
             if cfg.auto_slab and k > 1 and measured_contraction(history) >= 0.5:
+                del piece  # not kept alive through the retry
                 raise ConvergenceFailureError("contraction factor >= 1/2", history=history)
         except ConvergenceFailureError as exc:
             if not cfg.auto_slab or k <= 1:
@@ -570,7 +572,8 @@ def solve_global(
         for out, rows in zip(traces, piece.field_traces().values()):
             out[done + first : done + k + 1] = rows[first:]
         histories.append(history)
-        cur = piece.final_state
+        cur = piece.final_state  # copies, so the slab's arrays can go
+        del piece, rows  # not alive during the next slab's solve
         done += k
     return Trajectory(grid, initial.params, initial.t, *traces, slab_histories=histories)
 

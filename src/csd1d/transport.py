@@ -175,9 +175,10 @@ def bilinear_bound_check(
     grid = u_plus0.grid
     steps = step_count("T", T, grid.dt)
 
-    trace_p = solve_transport(u_plus0, F_plus, +1, steps)
-    trace_m = solve_transport(u_minus0, F_minus, -1, steps)
-    product = trace_p * trace_m
+    # the two traces are dropped once their product is formed
+    product = solve_transport(u_plus0, F_plus, +1, steps) * solve_transport(
+        u_minus0, F_minus, -1, steps
+    )
 
     if mask is not None:
         times = np.arange(steps + 1) * grid.dt

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from click.testing import CliRunner
 
 from csd1d.cli import main
 from csd1d.config import ConfigError, RunConfig, load_config
+
+GAUSSIAN_NULL = Path(__file__).parents[1] / "configs" / "gaussian_null.json"
 
 
 def base_config(out_dir, **over):
@@ -79,6 +82,18 @@ def test_config_unknown_check():
     doc = base_config("out")
     doc["run"]["checks"] = ["charge", "entropy"]
     with pytest.raises(ConfigError, match="entropy"):
+        RunConfig.from_dict(doc)
+
+
+def test_config_n_bumps_huge():
+    # refused before the data are built: generating them would add the
+    # bumps one by one without end
+    doc = base_config("out")
+    doc["data"]["psi1"] = {
+        "kind": "random_bumps", "width": 0.5, "amplitude": 0.5, "n_bumps": 10**400
+    }
+    message = r"^data\.psi1\.n_bumps must be an integer >= 0 and <= 10000, got 1000"
+    with pytest.raises(ConfigError, match=message):
         RunConfig.from_dict(doc)
 
 
@@ -262,6 +277,10 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("data.psi1", "amplitude", "big", "data.psi1.amplitude must be a number"),
         ("data.psi1", "seed", "x", "data.psi1.seed must be an integer"),
         ("data.psi1", "n_bumps", "3", "data.psi1.n_bumps must be an integer"),
+        ("data.psi1", "n_bumps", -3,
+         "data.psi1.n_bumps must be an integer >= 0 and <= 10000, got -3"),
+        ("data.psi1", "n_bumps", 10_001,
+         "data.psi1.n_bumps must be an integer >= 0 and <= 10000, got 10001"),
         ("model", "p", True, "model.p must be a number >= 1"),
         ("model", "m", float("nan"), "model.m must be a number >= 0"),
         ("grid", "x_min", False, "grid.x_min must be a number"),
@@ -277,6 +296,7 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
     ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
          "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
          "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string",
+         "n_bumps_negative", "n_bumps_over",
          "p_bool", "m_nan", "x_min_bool", "x_max_string", "n_cells_huge", "x_max_huge",
          "m_huge", "p_huge", "T_final_huge", "amplitude_huge"],
 )
@@ -361,3 +381,50 @@ def test_convergence_emits_orders(tmp_path):
     assert orders
     for o in orders:
         assert 1.5 < o < 2.5
+
+
+def _gaussian_null(tmp_path, n_cells, **solver):
+    """configs/gaussian_null.json at n_cells, writing under tmp_path."""
+    doc = json.loads(GAUSSIAN_NULL.read_text())
+    doc["grid"]["n_cells"] = n_cells
+    doc["solver"].update(solver)
+    doc["output"]["directory"] = str(tmp_path / "o")
+    return doc
+
+
+def _trajectory_bytes(doc):
+    """(steps + 1) rows of two complex and two real fields: 48 bytes a cell."""
+    cfg = RunConfig.from_dict(doc)
+    return (round(cfg.T_final / cfg.grid.dt) + 1) * cfg.grid.n_cells * 48
+
+
+def _traced_peak(argv):
+    """(result, traced peak bytes) of one in-process csd1d command;
+    tracemalloc counts numpy's data buffers."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = CliRunner().invoke(main, argv)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_cells", [512, 1024])
+def test_solve_march_all_checks_peak_memory(tmp_path, n_cells):
+    # at its peak a solve holds the trajectory and the intrinsic check's
+    # decomposed march (80 bytes a cell) plus temporaries
+    doc = _gaussian_null(tmp_path, n_cells, backend="march")
+    result, peak = _traced_peak(["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 0, result.output
+    assert peak <= 3.5 * _trajectory_bytes(doc), peak / _trajectory_bytes(doc)
+
+
+def test_convergence_peak_memory(tmp_path):
+    # each level keeps only its final state, and each Picard slab is
+    # dropped once its rows are copied
+    doc = _gaussian_null(tmp_path, 128)
+    result, peak = _traced_peak(["convergence", write_config(tmp_path, doc), "--levels", "3"])
+    assert result.exit_code == 0, result.output
+    finest = _trajectory_bytes(_gaussian_null(tmp_path, 512))
+    assert peak <= 2.4 * finest, peak / finest
