@@ -15,9 +15,19 @@
   block of report.json, and exit with the recorded code (SHA-256
   pinned below; a key without a "-p" suffix is the config's p = 2).
 * Convergence: `csd1d convergence --levels 3` of
-  configs/gaussian_null.json from n=128, for the gamma0 and identity
-  couplings, must write the recorded convergence.csv bytes (SHA-256
-  pinned below).
+  configs/gaussian_null.json from n=128 for the gamma0 and identity
+  couplings, and from n=512 for all three, must write the recorded
+  convergence.csv bytes (SHA-256 pinned below; a key without an "-n"
+  suffix starts at n=128).  From n=512 the Picard slabs are large
+  enough for numpy's temporary elision to act on the coupling product
+  (a temporary of at least 256 KiB), which changes the operand order
+  and hence the gamma1 bits.
+* Final state: the solve that `convergence` runs on each level, for
+  configs/gaussian_null.json at n=1024 and every coupling, must
+  reproduce the recorded bytes of the final state (SHA-256 pinned
+  below).  The sup-differences in convergence.csv do not see a
+  last-bit change of the final states: swapping the operand order of
+  the gamma1 coupling product changes these bytes but not the csv.
 
 The Picard reference was recorded before the single-loop Picard
 rewrite, the march reference before the march kernels were changed to
@@ -45,8 +55,10 @@ from csd1d import (
     DataSpec,
     ModelParams,
     RealField,
+    RunConfig,
     SolverConfig,
     SourceTrace,
+    build_initial_state,
     generate_data,
     make_grid,
     solve_decomposed,
@@ -106,6 +118,14 @@ SOLVE_GOLDEN = {
 CONVERGENCE_GOLDEN = {
     "gamma0": "8641de71dbe3c9c2b1cbac3b007476cba87d84e345eb6544b32dbc1f82e20acc",
     "identity": "98706acf242b80b318cabbb6eb2f5a8c43550847f76ca12bbb9b210a624c4996",
+    "gamma0-n512": "6bd9c6c6e1d2e8d2aefaf977ded67134e08a4ce8daed57dbde2c242b20a064eb",
+    "gamma1-n512": "423648486d61e41e816ab77f04c88860d5db9568dc562634c4501c6e50c3d48c",
+    "identity-n512": "96d5dcfde722dcd25c48ede50c7ed44162adf78d9b878b0005477f20f69e5e57",
+}
+FINAL_STATE_GOLDEN = {
+    "gamma0": "2eefaec1b8e39cf7766a791f63525e3cd5b90179a9352c1c511e9afccb1df028",
+    "gamma1": "1f66dc29746f3ea81359643bd1a88cfebfb72fafeb1ec0fc7ed66be98431f2a2",
+    "identity": "8fe76fa2b255219be06c1a34dcf7134add389b5cac66515c4a6ae3434ac3754e",
 }
 DECOMPOSED_FIELDS = (
     "psi_l_plus", "psi_l_minus", "psi_n_plus", "psi_n_minus", "a_plus", "a_minus"
@@ -192,16 +212,27 @@ def _run_solve_case(tmp_path, key) -> dict:
     }
 
 
-def _run_convergence_case(tmp_path, alpha) -> str:
+def _run_convergence_case(tmp_path, key) -> str:
+    alpha, _, n_cells = key.partition("-n")
     doc = json.loads(CONFIG.read_text())
-    doc["grid"]["n_cells"] = 128
+    doc["grid"]["n_cells"] = int(n_cells or 128)
     doc["model"]["alpha"] = alpha
-    doc["output"]["directory"] = str(tmp_path / alpha)
-    path = tmp_path / f"{alpha}.json"
+    doc["output"]["directory"] = str(tmp_path / key)
+    path = tmp_path / f"{key}.json"
     path.write_text(json.dumps(doc))
     result = CliRunner().invoke(main, ["convergence", str(path), "--levels", "3"])
     assert result.exit_code == 0, result.output
-    return hashlib.sha256((tmp_path / alpha / "convergence.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((tmp_path / key / "convergence.csv").read_bytes()).hexdigest()
+
+
+def _run_final_case(alpha) -> str:
+    doc = json.loads(CONFIG.read_text())
+    doc["grid"]["n_cells"] = 1024
+    doc["model"]["alpha"] = alpha
+    cfg = RunConfig.from_dict(doc)
+    state = build_initial_state(cfg)
+    final = solve_global(state, cfg.T_final, cfg.solver, weighted=False).final_state
+    return hashlib.sha256(b"".join(v.tobytes() for v in final.arrays())).hexdigest()
 
 
 @pytest.mark.parametrize("key", list(TRANSPORT_GOLDEN))
@@ -214,9 +245,14 @@ def test_solve_artifacts_match_golden(tmp_path, key):
     assert _run_solve_case(tmp_path, key) == SOLVE_GOLDEN[key]
 
 
-@pytest.mark.parametrize("alpha", list(CONVERGENCE_GOLDEN))
-def test_convergence_csv_matches_golden(tmp_path, alpha):
-    assert _run_convergence_case(tmp_path, alpha) == CONVERGENCE_GOLDEN[alpha]
+@pytest.mark.parametrize("key", list(CONVERGENCE_GOLDEN))
+def test_convergence_csv_matches_golden(tmp_path, key):
+    assert _run_convergence_case(tmp_path, key) == CONVERGENCE_GOLDEN[key]
+
+
+@pytest.mark.parametrize("alpha", list(FINAL_STATE_GOLDEN))
+def test_final_state_matches_golden(alpha):
+    assert _run_final_case(alpha) == FINAL_STATE_GOLDEN[alpha]
 
 
 @pytest.mark.parametrize("kind,p", CASES, ids=[_case_key(k, p) for k, p in CASES])
@@ -245,4 +281,5 @@ if __name__ == "__main__":
     print({key: _run_transport_case(key) for key in TRANSPORT_GOLDEN})
     with tempfile.TemporaryDirectory() as tmp:
         print({k: _run_solve_case(Path(tmp), k) for k in SOLVE_GOLDEN})
-        print({a: _run_convergence_case(Path(tmp), a) for a in CONVERGENCE_GOLDEN})
+        print({k: _run_convergence_case(Path(tmp), k) for k in CONVERGENCE_GOLDEN})
+    print({a: _run_final_case(a) for a in FINAL_STATE_GOLDEN})
