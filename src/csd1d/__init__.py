@@ -32,10 +32,10 @@ from .solver import (
     State,
     Trajectory,
     initial_size,
-    lipschitz_probe,
     march,
     picard_slab,
     solve_decomposed,
+    solve_final_state,
     solve_global,
 )
 from .transport import (
@@ -85,10 +85,10 @@ __all__ = [
     "State",
     "Trajectory",
     "initial_size",
-    "lipschitz_probe",
     "march",
     "picard_slab",
     "solve_decomposed",
+    "solve_final_state",
     "solve_global",
     "SourceTrace",
     "bilinear_bound_check",

@@ -11,7 +11,8 @@ Each whole-trajectory array is released after its last reader.  A
 `solve` holds its trajectory until the artifacts are written; at its
 peak, during the intrinsic check, the decomposed march is alive beside
 it.  Every other check's trajectory-sized arrays are released before
-the next check, and `convergence` keeps only each level's final state.
+the next check.  `convergence` stores no trajectory: on the Picard
+backend it holds one slab at a time and keeps each level's final state.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .diagnostics import (
 )
 from .errors import DomainOverflowError, SlabUnderflowError
 from .lattice import row_lp
-from .solver import solve_decomposed, solve_global
+from .solver import solve_decomposed, solve_final_state, solve_global
 from .suites import SUITE_NAMES, run_suite
 from .transport import bilinear_bound_check
 
@@ -290,11 +291,7 @@ def convergence(config_path, levels):
         doc["grid"]["n_cells"] = cfg.grid.n_cells * 2**k
         level_cfg = RunConfig.from_dict(doc)
         state = build_initial_state(level_cfg)
-        # only the final state is kept, so no level's trajectory is alive
-        # during the next level's solve
-        finals.append(
-            solve_global(state, level_cfg.T_final, level_cfg.solver, weighted=False).final_state
-        )
+        finals.append(solve_final_state(state, level_cfg.T_final, level_cfg.solver))
         sizes.append(level_cfg.grid.n_cells)
 
     diffs = {name: [] for name in FIELD_NAMES}

@@ -76,7 +76,9 @@ def _number(section: dict, path: str, integer=False, at_least=None, at_most=None
             f"{op} {b:g}" for op, b in ((">=", at_least), ("<=", at_most)) if b is not None
         )
         bound = f" {bound}" if bound else ""
-        raise ConfigError(f"{path} must be {what}{bound}, got {value!r}")
+        got = repr(value)  # cut to keep the line short: 10**400 has 401 digits
+        got = got if len(got) <= 27 else f"{got[:24]}... ({len(got)} characters)"
+        raise ConfigError(f"{path} must be {what}{bound}, got {got}")
     return value
 
 

@@ -25,12 +25,14 @@ Two backends produce the same trajectories up to second order:
   update and the next step's phases.
 
 ``solve_global`` chains converged slabs, shrinking the slab length
-until the measured contraction factor drops below 1/2 when requested.
+until the measured contraction factor drops below 1/2 when requested;
+``solve_final_state`` runs the same slab loop and keeps only the state
+at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,8 +65,8 @@ __all__ = [
     "picard_slab",
     "march",
     "solve_global",
+    "solve_final_state",
     "solve_decomposed",
-    "lipschitz_probe",
     "initial_size",
 ]
 
@@ -517,28 +519,18 @@ def measured_contraction(history, floor: float = 1e-12) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def solve_global(
-    initial: State, T_final: float, cfg: SolverConfig, weighted: bool = True
-) -> Trajectory:
-    """Continue slab solves up to T_final.
+def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig, weighted: bool):
+    """Yield (done, slab, history) for each accepted Picard slab of a
+    total_steps > 0 solve, done being the steps before the slab.
 
     With auto_slab the slab length is halved whenever an iteration fails
     to converge or its measured contraction factor is >= 1/2, mirroring
-    the role of the implicit smallness-of-T condition.  The rows of each
-    accepted slab are copied into one trajectory allocated up front; a
-    rejected attempt writes none.  No slab, accepted or rejected, is
-    alive during the next slab's solve.  weighted is as for picard_slab.
+    the role of the implicit smallness-of-T condition; SlabUnderflowError
+    ends a failure at the single-step floor or without auto_slab.  Each
+    slab, rejected or accepted, is dropped here before the next slab's
+    solve; a consumer must drop its own reference too.
     """
-    grid = initial.grid
-    total_steps = step_count("T_final", T_final, grid.dt)
-    if cfg.backend == "march":
-        return march(initial, total_steps)
-
-    slab_steps = min(cfg.slab_steps(grid), max(total_steps, 1))
-    if total_steps == 0:
-        return picard_slab(initial, cfg, steps=0, weighted=weighted)[0]
-    traces = [np.empty((total_steps + 1, grid.n_cells), v.dtype) for v in initial.arrays()]
-    histories = []
+    slab_steps = min(cfg.slab_steps(initial.grid), total_steps)
     done = 0
     cur = initial
     while done < total_steps:
@@ -566,34 +558,58 @@ def solve_global(
                 ) from exc
             slab_steps = max(1, slab_steps // 2)
             continue
+        yield done, piece, history
+        cur = piece.final_state  # copies, so the slab's arrays can go
+        del piece  # not alive during the next slab's solve
+        done += k
+
+
+def solve_global(
+    initial: State, T_final: float, cfg: SolverConfig, weighted: bool = True
+) -> Trajectory:
+    """Continue slab solves up to T_final (see _accepted_slabs).
+
+    The rows of each accepted Picard slab are copied into one trajectory
+    allocated up front, and the slab is dropped before the next one is
+    solved.  `convergence`, which needs only the final state, calls
+    solve_final_state instead and holds one slab at a time.  weighted is
+    as for picard_slab.
+    """
+    grid = initial.grid
+    total_steps = step_count("T_final", T_final, grid.dt)
+    if cfg.backend == "march":
+        return march(initial, total_steps)
+    if total_steps == 0:
+        return picard_slab(initial, cfg, steps=0, weighted=weighted)[0]
+    traces = [np.empty((total_steps + 1, grid.n_cells), v.dtype) for v in initial.arrays()]
+    histories = []
+    for done, piece, history in _accepted_slabs(initial, total_steps, cfg, weighted):
+        k = piece.n_steps
         # the first slab gives row 0 and each later slab rows 1..k: a
         # slab's row 0 can differ from its start state in a zero's sign
         first = 0 if done == 0 else 1
         for out, rows in zip(traces, piece.field_traces().values()):
             out[done + first : done + k + 1] = rows[first:]
         histories.append(history)
-        cur = piece.final_state  # copies, so the slab's arrays can go
         del piece, rows  # not alive during the next slab's solve
-        done += k
     return Trajectory(grid, initial.params, initial.t, *traces, slab_histories=histories)
 
 
-def lipschitz_probe(data_a: State, data_b: State, T: float, cfg: SolverConfig) -> float:
-    """Ratio of solution L^p distance (sup over time, summed over the
-    four fields) to data L^p distance."""
-    if data_a.grid != data_b.grid:
-        raise ValueError("both datasets must live on one grid")
-    p = data_a.params.p
-    dx = data_a.grid.dx
-    denom = sum(
-        float(row_lp(np.abs(va - vb), dx, p)) for va, vb in zip(data_a.arrays(), data_b.arrays())
-    )
-    if denom == 0.0:
-        raise ValueError("datasets are identical; difference quotient undefined")
-    traj_a = solve_global(data_a, T, cfg, weighted=False)
-    traj_b = solve_global(data_b, T, cfg, weighted=False)
-    num = 0.0
-    for name in ("psi_plus", "psi_minus", "a_plus", "a_minus"):
-        diff = traj_a.field_traces()[name] - traj_b.field_traces()[name]
-        num += float(row_lp(np.abs(diff), dx, p).max(initial=0.0))
-    return num / denom
+def solve_final_state(initial: State, T_final: float, cfg: SolverConfig) -> State:
+    """The state at T_final of solve_global(initial, T_final, cfg,
+    weighted=False), bit for bit, without storing the trajectory; the
+    solve that `convergence` runs on each level.
+
+    On the Picard backend only one slab is alive at a time: each
+    accepted slab is dropped once its final state is taken.  The march
+    backend and T_final = 0 go through solve_global.
+    """
+    grid = initial.grid
+    total_steps = step_count("T_final", T_final, grid.dt)
+    if cfg.backend == "march" or total_steps == 0:
+        return solve_global(initial, T_final, cfg, weighted=False).final_state
+    for _, piece, _ in _accepted_slabs(initial, total_steps, cfg, weighted=False):
+        final = piece.final_state
+        del piece  # not alive during the next slab's solve
+    # the time as solve_global's trajectory forms it, not summed per slab
+    return replace(final, t=float(initial.t + total_steps * grid.dt))

@@ -18,16 +18,18 @@
   configs/gaussian_null.json from n=128 for the gamma0 and identity
   couplings, and from n=512 for all three, must write the recorded
   convergence.csv bytes (SHA-256 pinned below; a key without an "-n"
-  suffix starts at n=128).  From n=512 the Picard slabs are large
-  enough for numpy's temporary elision to act on the coupling product
-  (a temporary of at least 256 KiB), which changes the operand order
-  and hence the gamma1 bits.
-* Final state: the solve that `convergence` runs on each level, for
-  configs/gaussian_null.json at n=1024 and every coupling, must
-  reproduce the recorded bytes of the final state (SHA-256 pinned
-  below).  The sup-differences in convergence.csv do not see a
-  last-bit change of the final states: swapping the operand order of
-  the gamma1 coupling product changes these bytes but not the csv.
+  suffix starts at n=128).  From n=512 the finer levels' Picard slabs
+  are large enough (a temporary of at least 256 KiB, first at n=1024)
+  for numpy's temporary elision to act on the coupling product, which
+  changes the operand order and hence the gamma1 bits.
+* Final state: solve_final_state, the solve that `convergence` runs
+  on each level, for configs/gaussian_null.json at n=1024 and every
+  coupling, must reproduce the recorded bytes of the final state
+  (SHA-256 pinned below; recorded from the last row of solve_global
+  with weighted=False, which `convergence` ran before).  The
+  sup-differences in convergence.csv do not see a last-bit change of
+  the final states: swapping the operand order of the gamma1 coupling
+  product changes these bytes but not the csv.
 
 The Picard reference was recorded before the single-loop Picard
 rewrite, the march reference before the march kernels were changed to
@@ -62,6 +64,7 @@ from csd1d import (
     generate_data,
     make_grid,
     solve_decomposed,
+    solve_final_state,
     solve_global,
     solve_transport,
 )
@@ -231,7 +234,7 @@ def _run_final_case(alpha) -> str:
     doc["model"]["alpha"] = alpha
     cfg = RunConfig.from_dict(doc)
     state = build_initial_state(cfg)
-    final = solve_global(state, cfg.T_final, cfg.solver, weighted=False).final_state
+    final = solve_final_state(state, cfg.T_final, cfg.solver)
     return hashlib.sha256(b"".join(v.tobytes() for v in final.arrays())).hexdigest()
 
 

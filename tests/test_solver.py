@@ -12,10 +12,10 @@ from csd1d import (
     SolverConfig,
     State,
     initial_size,
-    lipschitz_probe,
     march,
     picard_slab,
     solve_decomposed,
+    solve_final_state,
     solve_global,
     make_grid,
 )
@@ -249,6 +249,33 @@ def test_slab_underflow_reports_norms(grid):
     assert "single-step floor" in str(err)
 
 
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize(
+    "backend,n_cells,scale,slab_T,T",
+    [
+        # auto_slab halves the 0.5-long Picard slab here, so a rejected
+        # attempt sits between the accepted ones
+        ("picard", 256, 20.0, 0.5, 0.5),
+        ("picard", 256, 20.0, 0.5, 0.0),
+        ("march", 256, 20.0, 0.5, 0.5),
+        # dt = 0.16: the six slab ends summed one by one miss 24 * dt
+        ("picard", 100, 1.0, 0.64, 3.84),
+    ],
+    ids=["halved", "T0", "march", "six_slabs"],
+)
+def test_solve_final_state_is_last_row_of_solve_global(kind, backend, n_cells, scale, slab_T, T):
+    grid = make_grid(-8.0, 8.0, n_cells)
+    s = scale_state(bump_state(grid, ModelParams(alpha=kind, m=1.0, p=2.0), seed=3), scale)
+    cfg = SolverConfig(backend=backend, slab_T=slab_T)
+    want = solve_global(s, T, cfg, weighted=False)
+    got = solve_final_state(s, T, cfg)
+    if backend == "picard" and T > 0:
+        assert len(want.slab_histories) > 1
+    assert got.t == want.final_state.t
+    for a, b in zip(got.arrays(), want.final_state.arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_slab_failure_without_auto_slab_names_the_slab(grid):
     # the slab is 8 steps long, not at the floor: the message must say so
     params = ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=1.0)
@@ -321,17 +348,6 @@ def test_decomposition_nonlinear_part_vanishes_without_mass(grid):
     dtraj = solve_decomposed(s, 0.5, SolverConfig())
     assert np.abs(dtraj.psi_n_plus).max() == 0.0
     assert np.abs(dtraj.psi_n_minus).max() == 0.0
-
-
-def test_lipschitz_probe(grid):
-    params = ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=1.0)
-    a = bump_state(grid, params, seed=19)
-    a = scale_state(a, 0.05 / initial_size(a))
-    b = scale_state(a, 1.0 + 1e-6)
-    ratio = lipschitz_probe(a, b, 0.25, SolverConfig())
-    assert 0.1 < ratio < 10.0
-    with pytest.raises(ValueError):
-        lipschitz_probe(a, a, 0.25, SolverConfig())
 
 
 def test_zero_data_stays_zero(grid):
