@@ -10,20 +10,16 @@ from .lattice import (
     Grid,
     RealField,
     TriangleMask,
-    apply_mask,
     lp_norm,
     make_grid,
-    shift,
     windowed_mass,
 )
 from .physics import (
     CouplingKind,
     DataSpec,
     ModelParams,
-    coupling_P,
     diagonalize,
     generate_data,
-    undiagonalize,
 )
 from .report import DiagnosticReport
 from .solver import (
@@ -67,18 +63,14 @@ __all__ = [
     "Grid",
     "RealField",
     "TriangleMask",
-    "apply_mask",
     "lp_norm",
     "make_grid",
-    "shift",
     "windowed_mass",
     "CouplingKind",
     "DataSpec",
     "ModelParams",
-    "coupling_P",
     "diagonalize",
     "generate_data",
-    "undiagonalize",
     "DiagnosticReport",
     "DecomposedTrajectory",
     "SolverConfig",

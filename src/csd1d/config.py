@@ -8,12 +8,11 @@ fail loudly, and every message names the offending key.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lattice import Grid, RealField, is_integer, is_number, make_grid
+from .lattice import Grid, RealField, is_finite_number, is_integer, make_grid, quoted
 from .physics import CouplingKind, DataSpec, ModelParams, diagonalize, generate_data
 from .solver import SolverConfig, State
 
@@ -51,15 +50,6 @@ def _require_keys(section: dict, path: str, required: tuple, optional: tuple = (
             raise ConfigError(f"missing key {path}.{key}")
 
 
-def _is_finite_float(value) -> bool:
-    """value converts to a finite float; an integer too large for one
-    does not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _number(section: dict, path: str, integer=False, at_least=None, at_most=None,
             positive=False):
     """The number at path "<section>.<key>": any integer if integer is
@@ -67,7 +57,7 @@ def _number(section: dict, path: str, integer=False, at_least=None, at_most=None
     else no less than at_least if given; no more than at_most if given.
     ConfigError naming the key otherwise."""
     value = section[path.rsplit(".", 1)[1]]
-    if not ((is_integer(value) if integer else is_number(value) and _is_finite_float(value))
+    if not ((is_integer(value) if integer else is_finite_number(value))
             and (value > 0 if positive else at_least is None or value >= at_least)
             and (at_most is None or value <= at_most)):
         noun = "integer" if integer else "number"
@@ -76,9 +66,7 @@ def _number(section: dict, path: str, integer=False, at_least=None, at_most=None
             f"{op} {b:g}" for op, b in ((">=", at_least), ("<=", at_most)) if b is not None
         )
         bound = f" {bound}" if bound else ""
-        got = repr(value)  # cut to keep the line short: 10**400 has 401 digits
-        got = got if len(got) <= 27 else f"{got[:24]}... ({len(got)} characters)"
-        raise ConfigError(f"{path} must be {what}{bound}, got {got}")
+        raise ConfigError(f"{path} must be {what}{bound}, got {quoted(value)}")
     return value
 
 
@@ -124,7 +112,7 @@ class RunConfig:
         _require_keys(mdl, "model", ("alpha", "m", "p"))
         if mdl["alpha"] not in _ALPHA_NAMES:
             raise ConfigError(
-                f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {mdl['alpha']!r}"
+                f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {quoted(mdl['alpha'])}"
             )
         p = mdl["p"]
         if p not in ("inf", "infinity", np.inf):

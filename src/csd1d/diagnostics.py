@@ -36,15 +36,13 @@ __all__ = [
 ]
 
 
-def charge_series(
-    traj: Trajectory, tolerance: float | None = None
-) -> tuple[np.ndarray, DiagnosticReport]:
+def charge_series(traj: Trajectory) -> tuple[np.ndarray, DiagnosticReport]:
     """Charge per step and the maximum relative drift from its initial
     value.
 
-    The default tolerance is 1e-12 only for massless marching runs,
-    where the phase-factor scheme conserves charge to roundoff; the
-    Picard quadrature conserves it at second order.
+    The tolerance is 1e-12 only for massless marching runs, where the
+    phase-factor scheme conserves charge to roundoff; the Picard
+    quadrature conserves it at second order.
     """
     series = traj.charge()
     c0 = series[0]
@@ -54,11 +52,8 @@ def charge_series(
     else:
         drift = float(np.abs(series - c0).max()) / c0
         scale = c0
-    if tolerance is not None:
-        tol = tolerance
-    else:
-        is_march = not traj.slab_histories
-        tol = EXACT_TOL if (traj.params.m == 0.0 and is_march) else RELATIVE_SLACK
+    is_march = not traj.slab_histories
+    tol = EXACT_TOL if (traj.params.m == 0.0 and is_march) else RELATIVE_SLACK
     return series, DiagnosticReport(
         name="charge_conservation",
         lhs=drift,
@@ -150,11 +145,12 @@ def localization_check(
 
 
 def concentration_monitor(
-    traj: Trajectory, r: float, initial: State | None = None
+    traj: Trajectory, r: float, initial: State
 ) -> tuple[np.ndarray, DiagnosticReport]:
     """Largest window mass sup_x int_{|x-y|<r} (|psi_+|+|psi_-|+|A_+|+|A_-|)
-    per step, against the envelope assembled from the data window mass,
-    the nonlinear-part sup bound and the four-product source bound."""
+    per step, against the envelope assembled from the window mass of the
+    data initial, the nonlinear-part sup bound and the four-product
+    source bound."""
     grid = traj.grid
     if r < grid.dx:
         raise ValueError(f"window radius {r} below dx={grid.dx}")
@@ -169,16 +165,15 @@ def concentration_monitor(
         [np.convolve(row, kernel, mode="same").max(initial=0.0) for row in total]
     )
 
-    init = initial if initial is not None else traj.state_at(0)
     m = traj.params.m
     T = float(traj.times[-1] - traj.times[0])
 
-    psi_l1 = lp_norm(init.psi_plus, 1.0) + lp_norm(init.psi_minus, 1.0)
+    psi_l1 = lp_norm(initial.psi_plus, 1.0) + lp_norm(initial.psi_minus, 1.0)
     k_n = m * psi_l1 * (np.exp(m * T) + T - 1.0)  # sup bound on the nonlinear part
     env = 0.0
-    for f in (init.psi_plus, init.psi_minus):
+    for f in (initial.psi_plus, initial.psi_minus):
         env += windowed_mass(f, r) + 2 * r * k_n
-    for f, g in ((init.a_plus, init.psi_plus), (init.a_minus, init.psi_minus)):
+    for f, g in ((initial.a_plus, initial.psi_plus), (initial.a_minus, initial.psi_minus)):
         other_l1 = psi_l1 - lp_norm(g, 1.0)
         env += (
             windowed_mass(f, r)

@@ -10,6 +10,7 @@ data support fattened by the simulated time, which the solver checks.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -25,9 +26,7 @@ __all__ = [
     "step_count",
     "lp_norm",
     "row_lp",
-    "shift",
     "windowed_mass",
-    "apply_mask",
 ]
 
 
@@ -52,25 +51,38 @@ class Grid:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def is_number(value) -> bool:
-    """A real number that is not a boolean (JSON true/false)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def is_integer(value) -> bool:
     """An integer that is not a boolean; 3.0 is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A real number that is not a boolean (JSON true/false) and converts
+    to a finite float; an integer too large for one does not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut to keep the line short:
+    10**400 has 401 digits."""
+    text = repr(value)
+    return text if len(text) <= 27 else f"{text[:24]}... ({len(text)} characters)"
 
 
 def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
     if not x_max > x_min:
         raise ValueError(f"grid extent must be positive, got [{x_min}, {x_max}]")
     if not is_integer(n_cells):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+        raise ValueError(f"n_cells must be an integer, got {quoted(n_cells)}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     if n_cells > sys.float_info.max:
-        raise ValueError(f"n_cells is too large for a float, got {n_cells}")
+        raise ValueError(f"n_cells is too large for a float, got {quoted(n_cells)}")
     dx = (x_max - x_min) / n_cells
     return Grid(x_min=float(x_min), n_cells=int(n_cells), dx=dx)
 
@@ -121,10 +133,6 @@ class RealField:
 Field = ComplexField | RealField
 
 
-def _like(f: Field, values: np.ndarray) -> Field:
-    return type(f)(f.grid, values)
-
-
 @dataclass(frozen=True)
 class TriangleMask:
     """Backward light cone with apex time R over the interval
@@ -161,23 +169,19 @@ def lp_norm(f: Field, p: float) -> float:
     return float(row_lp(np.abs(f.values), f.grid.dx, p))
 
 
-def shift_values(values: np.ndarray, k: int, fill=0.0) -> np.ndarray:
-    """out[j] = values[j - k], zero (or fill) where j - k leaves the grid."""
+def shift_values(values: np.ndarray, k: int) -> np.ndarray:
+    """out[j] = values[j - k], zero where j - k leaves the grid."""
     n = len(values)
     if abs(k) > n:
         raise ValueError(f"|shift| {abs(k)} exceeds n_cells {n}")
     out = np.empty_like(values)
     if k >= 0:
-        out[:k] = fill
+        out[:k] = 0.0
         out[k:] = values[: n - k]
     else:
-        out[n + k :] = fill
+        out[n + k :] = 0.0
         out[: n + k] = values[-k:]
     return out
-
-
-def shift(f: Field, k: int, fill=0.0) -> Field:
-    return _like(f, shift_values(f.values, k, fill))
 
 
 def window_kernel(r: float, dx: float) -> np.ndarray:
@@ -197,8 +201,3 @@ def windowed_mass(f: Field, r: float) -> float:
     sums = np.convolve(np.abs(f.values), kernel, mode="same")
     return float(sums.max())
 
-
-def apply_mask(f: Field, mask: TriangleMask, t: float) -> Field:
-    if t < 0:
-        raise ValueError(f"mask time must be >= 0, got {t}")
-    return _like(f, f.values * mask.indicator(f.grid, t))

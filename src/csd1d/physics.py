@@ -1,16 +1,16 @@
-"""Model definition: coupling choices, diagonalization maps and
+"""Model definition: coupling choices, the diagonalization map and
 initial-data generators.
 
 The solver works in the diagonal variables psi_pm = psi1 +- psi2 and
 a_pm = a0 -+ a1, which turn the principal part into decoupled left/right
-transport.  Users specify data in the physical variables; the maps here
-convert both ways and are exact mutual inverses.
+transport.  Users specify data in the physical variables; the map here
+converts them to the diagonal ones.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ __all__ = [
     "ModelParams",
     "DataSpec",
     "diagonalize",
-    "undiagonalize",
-    "coupling_P",
     "coupling_values",
     "generate_data",
 ]
@@ -74,13 +72,6 @@ def coupling_values(
     return 0.5 * (np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2)
 
 
-def coupling_P(
-    psi_plus: ComplexField, psi_minus: ComplexField, alpha: CouplingKind
-) -> RealField:
-    grid = _require_shared_grid(psi_plus, psi_minus)
-    return RealField(grid, coupling_values(psi_plus.values, psi_minus.values, alpha))
-
-
 def diagonalize(
     psi1: ComplexField,
     psi2: ComplexField,
@@ -101,16 +92,6 @@ def diagonalize(
         a_minus=RealField(grid, a0.values + a1.values),
         params=params or ModelParams(),
     )
-
-
-def undiagonalize(state):
-    """Inverse of diagonalize: State -> (psi1, psi2, a0, a1)."""
-    grid = state.grid
-    psi1 = ComplexField(grid, 0.5 * (state.psi_plus.values + state.psi_minus.values))
-    psi2 = ComplexField(grid, 0.5 * (state.psi_plus.values - state.psi_minus.values))
-    a0 = RealField(grid, 0.5 * (state.a_plus.values + state.a_minus.values))
-    a1 = RealField(grid, 0.5 * (state.a_minus.values - state.a_plus.values))
-    return psi1, psi2, a0, a1
 
 
 @dataclass(frozen=True)
@@ -141,15 +122,6 @@ class DataSpec:
             raise ValueError(f"unknown data kind {self.kind!r}")
         if self.kind != "zero" and not self.width > 0:
             raise ValueError(f"width must be positive, got {self.width}")
-
-    def support_bounds(self) -> tuple[float, float]:
-        """Exact support interval for compactly supported kinds; the
-        4-sigma-equivalent extent otherwise."""
-        if self.kind == "box":
-            return (self.center - self.width / 2, self.center + self.width / 2)
-        if self.kind == "random_bumps":
-            return (self.center - self.spread - self.width, self.center + self.spread + self.width)
-        return (self.center - 6 * self.width, self.center + 6 * self.width)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:

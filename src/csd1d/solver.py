@@ -41,9 +41,10 @@ from .lattice import (
     ComplexField,
     Grid,
     RealField,
+    is_finite_number,
     is_integer,
-    is_number,
     lp_norm,
+    quoted,
     row_lp,
     shift_values,
     step_count,
@@ -137,18 +138,18 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.backend not in ("picard", "march"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+            raise ValueError(f"unknown backend {quoted(self.backend)}")
         for name in ("slab_T", "picard_tol"):
             value = getattr(self, name)
-            if not (is_number(value) and value > 0):
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not (is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {quoted(value)}")
             object.__setattr__(self, name, float(value))
         if not (is_integer(self.max_picard_iters) and self.max_picard_iters >= 1):
             raise ValueError(
-                f"max_picard_iters must be a positive integer, got {self.max_picard_iters!r}"
+                f"max_picard_iters must be a positive integer, got {quoted(self.max_picard_iters)}"
             )
         if not isinstance(self.auto_slab, bool):
-            raise ValueError(f"auto_slab must be true or false, got {self.auto_slab!r}")
+            raise ValueError(f"auto_slab must be true or false, got {quoted(self.auto_slab)}")
 
     def slab_steps(self, grid: Grid) -> int:
         return step_count("slab_T", self.slab_T, grid.dt, positive=True)
@@ -198,12 +199,6 @@ class Trajectory:
             (np.abs(self.psi_plus) ** 2).sum(axis=1) + (np.abs(self.psi_minus) ** 2).sum(axis=1)
         ) * dx
 
-    def lp_series(self, p: float) -> dict:
-        return {
-            name: row_lp(np.abs(trace), self.grid.dx, p)
-            for name, trace in self.field_traces().items()
-        }
-
     def field_traces(self) -> dict:
         return {
             "psi_plus": self.psi_plus,
@@ -244,17 +239,6 @@ class DecomposedTrajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_steps + 1) * self.grid.dt
-
-    def total(self) -> Trajectory:
-        return Trajectory(
-            grid=self.grid,
-            params=self.params,
-            t0=self.t0,
-            psi_plus=self.psi_l_plus + self.psi_n_plus,
-            psi_minus=self.psi_l_minus + self.psi_n_minus,
-            a_plus=self.a_plus,
-            a_minus=self.a_minus,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainOverflowError
-from .lattice import Field, Grid, TriangleMask, row_lp, shift_values, step_count
+from .lattice import Field, Grid, row_lp, shift_values, step_count
 from .report import RELATIVE_SLACK, DiagnosticReport
 
 __all__ = [
@@ -166,10 +166,9 @@ def bilinear_bound_check(
     F_minus: SourceTrace | None,
     p: float,
     T: float,
-    mask: TriangleMask | None = None,
 ) -> DiagnosticReport:
     """Measure ||u_+ u_-|| over the slab against the product bound with
-    constant (1/2)^(1/p); optionally restricted to a triangle."""
+    constant (1/2)^(1/p)."""
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     grid = u_plus0.grid
@@ -179,42 +178,18 @@ def bilinear_bound_check(
     product = solve_transport(u_plus0, F_plus, +1, steps) * solve_transport(
         u_minus0, F_minus, -1, steps
     )
-
-    if mask is not None:
-        times = np.arange(steps + 1) * grid.dt
-        chi = np.stack([mask.indicator(grid, t) for t in times])
-        product = product * chi
-        u_plus0_v = u_plus0.values * mask.indicator(grid, 0.0)
-        u_minus0_v = u_minus0.values * mask.indicator(grid, 0.0)
-        F_plus = _masked_trace(F_plus, chi, steps)
-        F_minus = _masked_trace(F_minus, chi, steps)
-    else:
-        u_plus0_v = u_plus0.values
-        u_minus0_v = u_minus0.values
-
     lhs = spacetime_lp_norm(product, grid, p)
     half = 0.5 ** (1.0 / p)  # 1 for p = inf
 
     def factor(u0_v, F):
         return float(row_lp(np.abs(u0_v), grid.dx, p)) + _trace_source_l1_in_time(F, steps, grid, p)
 
-    rhs = half * factor(u_plus0_v, F_plus) * factor(u_minus0_v, F_minus)
+    rhs = half * factor(u_plus0.values, F_plus) * factor(u_minus0.values, F_minus)
     return DiagnosticReport(
-        name="bilinear_masked" if mask is not None else "bilinear",
+        name="bilinear",
         lhs=lhs,
         rhs=rhs,
         tolerance=RELATIVE_SLACK * rhs,
-        metadata={
-            "p": p,
-            "T": T,
-            "n_cells": grid.n_cells,
-            "masked": mask is not None,
-        },
+        # the whole slab is measured; the key is kept for report.json's schema
+        metadata={"p": p, "T": T, "n_cells": grid.n_cells, "masked": False},
     )
-
-
-def _masked_trace(F: SourceTrace | None, chi: np.ndarray, steps: int) -> SourceTrace | None:
-    if F is None:
-        return None
-    return SourceTrace(F.grid, F.samples[: steps + 1] * chi)
-

@@ -110,6 +110,28 @@ def test_solve_huge_n_bumps_error_is_short(tmp_path):
     assert "data.psi1.n_bumps" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("solver", "slab_T", 10**400),
+        ("solver", "picard_tol", 10**400),
+        ("solver", "max_picard_iters", -10**400),
+        ("model", "alpha", 10**400),
+        ("grid", "n_cells", 10**400),
+    ],
+    ids=["slab_T", "picard_tol", "max_picard_iters", "alpha", "n_cells"],
+)
+def test_solve_huge_value_error_is_short(tmp_path, section, key, value):
+    # a value too large for a float exits 2 on one line, its 401 digits cut
+    doc = base_config(tmp_path / "o")
+    set_key(doc, section, key, value)
+    result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 120, lines
+    assert lines[0].startswith("error: ") and key in lines[0]
+
+
 @pytest.mark.parametrize("section", ["grid", "model", "data", "run", "solver", "output"])
 def test_config_section_not_object(section):
     doc = base_config("out")

@@ -118,7 +118,7 @@ def test_concentration_monitor_envelope(grid):
     assert len(series) == 17
     assert rep.pass_
     with pytest.raises(ValueError):
-        concentration_monitor(traj, 0.5 * grid.dx)
+        concentration_monitor(traj, 0.5 * grid.dx, initial=s)
 
 
 def test_concentration_monotone_in_radius(grid):

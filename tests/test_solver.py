@@ -108,8 +108,7 @@ def test_trajectory_bookkeeping(grid):
     fin = traj.final_state
     assert fin.t == pytest.approx(8 * grid.dt)
     assert np.array_equal(fin.psi_plus.values, traj.psi_plus[8])
-    series = traj.lp_series(2.0)
-    assert set(series) == {"psi_plus", "psi_minus", "a_plus", "a_minus"}
+    assert set(traj.field_traces()) == {"psi_plus", "psi_minus", "a_plus", "a_minus"}
 
 
 def test_unit_phase_is_complex_exp_bitwise():
@@ -324,10 +323,12 @@ def test_decomposition_sums_to_march(grid):
     params = ModelParams(alpha=CouplingKind.NULL_GAMMA1, m=1.0, p=1.0)
     s = bump_state(grid, params, seed=16)
     dtraj = solve_decomposed(s, 0.5, SolverConfig())
-    total = dtraj.total()
     ref = march(s, dtraj.n_steps)
-    assert np.abs(total.psi_plus - ref.psi_plus).max() < 1e-12
-    assert np.abs(total.a_minus - ref.a_minus).max() < 1e-12
+    # L + N is the full spinor; the gauge fields are stored whole
+    assert np.abs(dtraj.psi_l_plus + dtraj.psi_n_plus - ref.psi_plus).max() < 1e-12
+    assert np.abs(dtraj.psi_l_minus + dtraj.psi_n_minus - ref.psi_minus).max() < 1e-12
+    assert np.abs(dtraj.a_plus - ref.a_plus).max() < 1e-12
+    assert np.abs(dtraj.a_minus - ref.a_minus).max() < 1e-12
 
 
 def test_decomposition_linear_part_modulus(grid):

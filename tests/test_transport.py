@@ -10,7 +10,6 @@ from csd1d import (
     DomainOverflowError,
     RealField,
     SourceTrace,
-    TriangleMask,
     bilinear_bound_check,
     make_grid,
     solve_transport,
@@ -150,18 +149,6 @@ def test_bilinear_with_sources_inequality():
     for p in (1.0, 2.0, np.inf):
         rep = bilinear_bound_check(u_p, u_m, F_p, F_m, p, 1.0)
         assert rep.margin >= -rep.tolerance
-
-
-def test_masked_bilinear_restricts_both_sides():
-    g = make_grid(-8.0, 8.0, 1024)
-    mask = TriangleMask(x0=0.0, R=2.0)
-    u_p = unit_box(g, -1.0, 0.0)
-    u_m = unit_box(g, 0.0, 1.0)
-    full = bilinear_bound_check(u_p, u_m, None, None, 1.0, 1.0)
-    masked = bilinear_bound_check(u_p, u_m, None, None, 1.0, 1.0, mask=mask)
-    assert masked.lhs <= full.lhs + 1e-12
-    assert masked.rhs <= full.rhs + 1e-12
-    assert masked.margin >= -masked.tolerance
 
 
 def test_source_trace_validation():
