@@ -110,7 +110,7 @@ class RunConfig:
 
         mdl = doc["model"]
         _require_keys(mdl, "model", ("alpha", "m", "p"))
-        if mdl["alpha"] not in _ALPHA_NAMES:
+        if not isinstance(mdl["alpha"], str) or mdl["alpha"] not in _ALPHA_NAMES:
             raise ConfigError(
                 f"model.alpha must be one of {sorted(_ALPHA_NAMES)}, got {quoted(mdl['alpha'])}"
             )
@@ -141,7 +141,7 @@ class RunConfig:
         checks = tuple(r["checks"])
         for c in checks:
             if c not in KNOWN_CHECKS:
-                raise ConfigError(f"run.checks: unknown check {c!r}")
+                raise ConfigError(f"run.checks: unknown check {quoted(c)}")
         window_r = r["window_r"]
         if window_r is not None:
             window_r = _number(r, "run.window_r", at_least=grid.dx)
@@ -153,7 +153,7 @@ class RunConfig:
         formats = tuple(o["formats"])
         for f in formats:
             if f not in ("csv", "json"):
-                raise ConfigError(f"output.formats: unknown format {f!r}")
+                raise ConfigError(f"output.formats: unknown format {quoted(f)}")
 
         return cls(
             grid=grid, params=params, data=data, solver=solver,

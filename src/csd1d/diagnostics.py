@@ -110,7 +110,7 @@ def finite_speed_check(
     if R <= 2 * grid.dx:
         raise ValueError(f"R={R} must exceed a few cells (dx={grid.dx})")
     steps = int(R / grid.dt)
-    traj = solve_global(data, steps * grid.dt, cfg, weighted=False)
+    traj = solve_global(data, steps * grid.dt, cfg)
     leak = _cone_max(TriangleMask(x0=x0, R=R + widen_cells * grid.dx), traj)
     return DiagnosticReport(
         name="finite_speed",
@@ -132,8 +132,8 @@ def localization_check(
     grid = data.grid
     cut = data.weighted(TriangleMask(x0=x0 + misalign_cells * grid.dx, R=R).indicator(grid, 0.0))
     T = int(R / grid.dt) * grid.dt
-    traj_full = solve_global(data, T, cfg, weighted=False)
-    traj_cut = solve_global(cut, T, cfg, weighted=False)
+    traj_full = solve_global(data, T, cfg)
+    traj_cut = solve_global(cut, T, cfg)
     diff = _cone_max(TriangleMask(x0=x0, R=R), traj_full, traj_cut)
     return DiagnosticReport(
         name="localization",
@@ -201,7 +201,7 @@ def scaling_check(
         raise ValueError(f"lambda must be a positive integer, got {lam}")
     grid = data.grid
     steps = int(round(T / grid.dt))
-    traj = solve_global(data, steps * grid.dt, cfg, weighted=False)
+    traj = solve_global(data, steps * grid.dt, cfg)
 
     fine = Grid(x_min=grid.x_min, n_cells=lam * grid.n_cells, dx=grid.dx / lam)
     # fine center k0 + i sits exactly at (base center i) / lam
@@ -230,7 +230,7 @@ def scaling_check(
         resample(data.a_minus.values),
         data.params,
     )
-    traj_s = solve_global(scaled, steps * fine.dt, cfg, weighted=False)
+    traj_s = solve_global(scaled, steps * fine.dt, cfg)
 
     j = k0 + idx
     diff = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ComplexField, Grid, RealField
+from .lattice import ComplexField, Grid, RealField, quoted
 
 __all__ = [
     "CouplingKind",
@@ -119,7 +119,7 @@ class DataSpec:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ValueError(f"unknown data kind {self.kind!r}")
+            raise ValueError(f"unknown data kind {quoted(self.kind)}")
         if self.kind != "zero" and not self.width > 0:
             raise ValueError(f"width must be positive, got {self.width}")
 

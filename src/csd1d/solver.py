@@ -10,12 +10,9 @@ Two backends produce the same trajectories up to second order:
   from zero; the identity coupling marches the spinor equation, linear
   in the new iterate, against the frozen gauge trace and starts from
   the initial data held constant in time.  Each iteration appends one
-  history entry: ``sup``, the largest change of any field at any grid
-  point and time (NaN once any change is), which decides convergence,
-  and, unless the caller passes ``weighted=False``, ``weighted``, the
-  proof's bookkeeping metric between the two iterates, reported but not
-  used to decide.  Only ``csd1d solve`` writes it (to report.json), so
-  every other caller turns it off.
+  history entry ``{"sup": d}``: d is the largest change of any field at
+  any grid point and time (NaN once any change is), and decides
+  convergence.
 * ``march`` advances step by step along characteristics.  The gauge
   term is applied as an exact unimodular phase factor, so the modulus
   of a free spinor and the m = 0 charge are preserved to roundoff.  The
@@ -55,7 +52,6 @@ from .transport import (
     characteristic_integral_rows,
     check_containment,
     data_shift_rows,
-    spacetime_lp_norm,
 )
 
 __all__ = [
@@ -364,41 +360,11 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
 # Picard backend
 
 
-def _iterate_distance(new, old, grid: Grid, p: float, weighted: bool = True):
-    """(sup difference, weighted metric) between two Picard iterates;
-    the metric is None unless weighted.
-
-    The weighted metric is the proof's bookkeeping metric: sup-in-time
-    L^p distances of the fields plus weight-3 space-time L^p distances
-    of the quadratic products, summed over both sign choices.  Each
-    field difference is formed once; each product difference is formed
-    and dropped before the next.  The sup is NaN when any field
-    difference is, so a diverged iterate never reads as converged.
-    """
-    sups = []
-    metric = 0.0
-    for a, b in zip(new, old):
-        mag = np.abs(a - b)
-        sups.append(mag.max(initial=0.0))
-        if weighted:
-            metric += float(row_lp(mag, grid.dx, p).max(initial=0.0))
-    del mag
-    if not weighted:
-        return float(np.max(sups)), None
-    np_p, np_m, na_p, na_m = new
-    op_p, op_m, oa_p, oa_m = old
-    # both orders of the psi product are kept: complex multiplication is
-    # not bitwise commutative
-    for a, b, c, d in (
-        (np_p, na_m, op_p, oa_m),
-        (np_m, na_p, op_m, oa_p),
-        (np_p, np_m, op_p, op_m),
-        (np_m, np_p, op_m, op_p),
-    ):
-        diff = a * b
-        diff -= c * d
-        metric += 3.0 * spacetime_lp_norm(diff, grid, p)
-    return float(np.max(sups)), metric
+def _sup_distance(new, old) -> float:
+    """The largest change of any field between two Picard iterates, at
+    any grid point and time.  It is NaN when any field difference is, so
+    a diverged iterate never reads as converged."""
+    return float(np.max([np.abs(a - b).max(initial=0.0) for a, b in zip(new, old)]))
 
 
 def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
@@ -422,12 +388,12 @@ def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
     return pp, pm
 
 
-def _picard(initial: State, K: int, cfg: SolverConfig, weighted: bool):
+def _picard(initial: State, K: int, cfg: SolverConfig):
     """Successive approximation on a K-step slab.  Both schemes share
     the gauge update; the spinor update is the integral map for null
     couplings and the frozen-gauge linear march for the identity."""
     dt = initial.grid.dt
-    m, alpha, p = initial.params.m, initial.params.alpha, initial.params.p
+    m, alpha = initial.params.m, initial.params.alpha
     data_p, data_m, data_ap, data_am = initial.arrays()
     base_ap = data_shift_rows(data_ap, +1, K)
     base_am = data_shift_rows(data_am, -1, K)
@@ -461,8 +427,8 @@ def _picard(initial: State, K: int, cfg: SolverConfig, weighted: bool):
                 characteristic_integral_rows(P, -1, dt, base_am),
             )
             del P
-            d_sup, d_w = _iterate_distance(new, it, initial.grid, p, weighted)
-            history.append({"sup": d_sup} if d_w is None else {"sup": d_sup, "weighted": d_w})
+            d_sup = _sup_distance(new, it)
+            history.append({"sup": d_sup})
             it = new
             if d_sup < cfg.picard_tol:
                 return it, history
@@ -473,20 +439,17 @@ def _picard(initial: State, K: int, cfg: SolverConfig, weighted: bool):
     )
 
 
-def picard_slab(
-    initial: State, cfg: SolverConfig, steps: int | None = None, weighted: bool = True
-):
+def picard_slab(initial: State, cfg: SolverConfig, steps: int | None = None):
     """One converged slab of the successive-approximation scheme.
 
     Returns (Trajectory over [t, t + steps*dt], iterate history), where
-    the history holds per-iteration sup differences and, unless
-    weighted is False, weighted-metric differences.
+    the history holds one {"sup": d} entry per iteration.
     """
     grid = initial.grid
     if steps is None:
         steps = cfg.slab_steps(grid)
     check_containment(grid, steps, *initial.arrays())
-    (pp, pm, ap, am), history = _picard(initial, steps, cfg, weighted)
+    (pp, pm, ap, am), history = _picard(initial, steps, cfg)
     traj = Trajectory(grid, initial.params, initial.t, pp, pm, ap, am, slab_histories=[history])
     return traj, history
 
@@ -503,7 +466,7 @@ def measured_contraction(history, floor: float = 1e-12) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig, weighted: bool):
+def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig):
     """Yield (done, slab, history) for each accepted Picard slab of a
     total_steps > 0 solve, done being the steps before the slab.
 
@@ -520,7 +483,7 @@ def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig, weighte
     while done < total_steps:
         k = min(slab_steps, total_steps - done)
         try:
-            piece, history = picard_slab(cur, cfg, steps=k, weighted=weighted)
+            piece, history = picard_slab(cur, cfg, steps=k)
             if cfg.auto_slab and k > 1 and measured_contraction(history) >= 0.5:
                 del piece  # not kept alive through the retry
                 raise ConvergenceFailureError("contraction factor >= 1/2", history=history)
@@ -548,26 +511,25 @@ def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig, weighte
         done += k
 
 
-def solve_global(
-    initial: State, T_final: float, cfg: SolverConfig, weighted: bool = True
-) -> Trajectory:
+def solve_global(initial: State, T_final: float, cfg: SolverConfig) -> Trajectory:
     """Continue slab solves up to T_final (see _accepted_slabs).
 
     The rows of each accepted Picard slab are copied into one trajectory
     allocated up front, and the slab is dropped before the next one is
     solved.  `convergence`, which needs only the final state, calls
-    solve_final_state instead and holds one slab at a time.  weighted is
-    as for picard_slab.
+    solve_final_state instead and holds one slab at a time.  Its
+    slab_histories hold the history of each accepted slab, as
+    picard_slab returns it.
     """
     grid = initial.grid
     total_steps = step_count("T_final", T_final, grid.dt)
     if cfg.backend == "march":
         return march(initial, total_steps)
     if total_steps == 0:
-        return picard_slab(initial, cfg, steps=0, weighted=weighted)[0]
+        return picard_slab(initial, cfg, steps=0)[0]
     traces = [np.empty((total_steps + 1, grid.n_cells), v.dtype) for v in initial.arrays()]
     histories = []
-    for done, piece, history in _accepted_slabs(initial, total_steps, cfg, weighted):
+    for done, piece, history in _accepted_slabs(initial, total_steps, cfg):
         k = piece.n_steps
         # the first slab gives row 0 and each later slab rows 1..k: a
         # slab's row 0 can differ from its start state in a zero's sign
@@ -580,9 +542,9 @@ def solve_global(
 
 
 def solve_final_state(initial: State, T_final: float, cfg: SolverConfig) -> State:
-    """The state at T_final of solve_global(initial, T_final, cfg,
-    weighted=False), bit for bit, without storing the trajectory; the
-    solve that `convergence` runs on each level.
+    """The state at T_final of solve_global(initial, T_final, cfg), bit
+    for bit, without storing the trajectory; the solve that
+    `convergence` runs on each level.
 
     On the Picard backend only one slab is alive at a time: each
     accepted slab is dropped once its final state is taken.  The march
@@ -591,8 +553,8 @@ def solve_final_state(initial: State, T_final: float, cfg: SolverConfig) -> Stat
     grid = initial.grid
     total_steps = step_count("T_final", T_final, grid.dt)
     if cfg.backend == "march" or total_steps == 0:
-        return solve_global(initial, T_final, cfg, weighted=False).final_state
-    for _, piece, _ in _accepted_slabs(initial, total_steps, cfg, weighted=False):
+        return solve_global(initial, T_final, cfg).final_state
+    for _, piece, _ in _accepted_slabs(initial, total_steps, cfg):
         final = piece.final_state
         del piece  # not alive during the next slab's solve
     # the time as solve_global's trajectory forms it, not summed per slab

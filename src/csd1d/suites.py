@@ -164,7 +164,7 @@ def _contraction_trial(trial: int, seed: int, large_m: bool = False) -> list[dic
     cfg = SolverConfig(slab_T=0.25, auto_slab=False)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            _, history = picard_slab(state, cfg, weighted=False)
+            _, history = picard_slab(state, cfg)
         ratio = measured_contraction(history)
         iters = len(history)
     except ConvergenceFailureError as exc:
@@ -198,9 +198,7 @@ def _charge_trial(trial: int, seed: int) -> list[dict]:
         for m in (0.0, 1.0):
             params = ModelParams(alpha=COUPLINGS[trial % 3], m=m, p=1.0)
             state = _random_state(grid, params, rng, amplitude=0.4)
-            traj = solve_global(
-                state, 0.5, SolverConfig(backend=backend, slab_T=0.25), weighted=False
-            )
+            traj = solve_global(state, 0.5, SolverConfig(backend=backend, slab_T=0.25))
             _, rep = charge_series(traj)
             rows.append(_report_row(replace(rep, name=f"charge_{backend}_m{int(m)}"), trial))
     return rows

@@ -118,11 +118,21 @@ def test_solve_huge_n_bumps_error_is_short(tmp_path):
         ("solver", "max_picard_iters", -10**400),
         ("model", "alpha", 10**400),
         ("grid", "n_cells", 10**400),
+        # unhashable: a dict lookup of it raises TypeError
+        ("model", "alpha", [1]),
+        ("model", "alpha", {}),
+        ("data.psi1", "kind", "x" * 500),
+        ("run", "checks", ["x" * 500]),
+        ("output", "formats", ["x" * 500]),
     ],
-    ids=["slab_T", "picard_tol", "max_picard_iters", "alpha", "n_cells"],
+    ids=[
+        "slab_T", "picard_tol", "max_picard_iters", "alpha", "n_cells",
+        "alpha_list", "alpha_dict", "kind_long", "checks_long", "formats_long",
+    ],
 )
 def test_solve_huge_value_error_is_short(tmp_path, section, key, value):
-    # a value too large for a float exits 2 on one line, its 401 digits cut
+    # a bad value exits 2 on one line: a value too large for a float or
+    # a long string is cut, not echoed
     doc = base_config(tmp_path / "o")
     set_key(doc, section, key, value)
     result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
@@ -182,8 +192,7 @@ def test_solve_config_directory_exit_2(tmp_path):
     assert result.output == f"error: cannot read config file {tmp_path}: Is a directory\n"
 
 
-def test_solve_picard_report_has_weighted_metric(tmp_path):
-    # solve is the one caller that writes the bookkeeping metric
+def test_solve_picard_report_history_is_sup_only(tmp_path):
     out = tmp_path / "o"
     doc = json.loads((Path(__file__).parents[1] / "configs" / "gaussian_null.json").read_text())
     doc["grid"]["n_cells"] = 128
@@ -192,7 +201,7 @@ def test_solve_picard_report_has_weighted_metric(tmp_path):
     assert result.exit_code == 0, result.output
     history = json.loads((out / "report.json").read_text())["iterate_history"]
     assert history
-    assert all(math.isfinite(h["weighted"]) for h in history)
+    assert all(list(h) == ["sup"] and math.isfinite(h["sup"]) for h in history)
 
 
 def test_solve_schema_error_exit_2(tmp_path):

@@ -1,5 +1,8 @@
 """Couplings, change of variables and data generation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,20 @@ from csd1d import (
     DataSpec,
     ModelParams,
     RealField,
+    RunConfig,
+    SolverConfig,
+    build_initial_state,
     diagonalize,
     generate_data,
+    lp_norm,
     make_grid,
+    solve_global,
+    spacetime_lp_norm,
 )
 from csd1d.physics import coupling_values
+from csd1d.report import RELATIVE_SLACK
+
+GAUSSIAN_NULL = Path(__file__).parents[1] / "configs" / "gaussian_null.json"
 
 
 # hand-computed point values [DERIVED]:
@@ -47,6 +59,41 @@ def test_identity_coupling_nonnegative_and_null_flag():
     assert CouplingKind.NULL_GAMMA0.is_null
     assert CouplingKind.NULL_GAMMA1.is_null
     assert not CouplingKind.IDENTITY.is_null
+
+
+@pytest.mark.parametrize("backend", ["march", "picard"])
+def test_null_couplings_meet_null_form_bounds_identity_does_not(backend):
+    # At m = 0 the moduli |psi_+-| are transported exactly.  A null P
+    # pairs the right-mover psi_+ with the left-mover psi_-, so changing
+    # to characteristic variables bounds, for all time,
+    #   int_0^T ||P||_1 dt <= 1/2 ||psi_+0||_1 ||psi_-0||_1
+    # and, along the characteristic of A_+ (A_-), which psi_+ (psi_-)
+    # rides, sup|A_+-| by sup|A_+-0| + 1/2 max(||psi_+0||_inf ||psi_-0||_1,
+    # ||psi_-0||_inf ||psi_+0||_1).  The identity P = (|psi_+|^2 +
+    # |psi_-|^2)/2 pairs each mover with itself and must break both by
+    # T = 8: that is the control.
+    doc = json.loads(GAUSSIAN_NULL.read_text())
+    doc["grid"] = {"x_min": -16.0, "x_max": 16.0, "n_cells": 512}
+    doc["model"]["m"] = 0.0
+    for alpha in ("gamma0", "gamma1", "identity"):
+        doc["model"]["alpha"] = alpha
+        state = build_initial_state(RunConfig.from_dict(doc))
+        traj = solve_global(state, 8.0, SolverConfig(backend=backend, slab_T=0.25))
+        P = coupling_values(traj.psi_plus, traj.psi_minus, state.params.alpha)
+        l1_p, l1_m = lp_norm(state.psi_plus, 1.0), lp_norm(state.psi_minus, 1.0)
+        gauge_gain = 0.5 * max(
+            lp_norm(state.psi_plus, np.inf) * l1_m, lp_norm(state.psi_minus, np.inf) * l1_p
+        )
+        pairs = [
+            (spacetime_lp_norm(P, state.grid, 1.0), 0.5 * l1_p * l1_m),
+            (np.abs(traj.a_plus).max(), lp_norm(state.a_plus, np.inf) + gauge_gain),
+            (np.abs(traj.a_minus).max(), lp_norm(state.a_minus, np.inf) + gauge_gain),
+        ]
+        if alpha == "identity":
+            assert pairs[0][0] > pairs[0][1], pairs
+            assert max(pairs[1][0] - pairs[1][1], pairs[2][0] - pairs[2][1]) > 0, pairs
+        else:
+            assert all(lhs <= rhs * (1.0 + RELATIVE_SLACK) for lhs, rhs in pairs), (alpha, pairs)
 
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)

@@ -1,8 +1,8 @@
 """Golden pins of the solver backends.
 
 * Picard: solve_global at n=256, T=0.5 for every coupling and p in
-  {1, 2, inf} must reproduce the recorded trajectory bytes and iterate
-  histories exactly.
+  {1, 2, inf} must reproduce the recorded trajectory bytes and the
+  recorded sup difference of every Picard iteration exactly.
 * March: solve_global on the march backend and solve_decomposed at
   n=256, T=1 for every coupling and m in {0, 1} must reproduce the
   recorded trajectory bytes exactly.
@@ -25,8 +25,8 @@
 * Final state: solve_final_state, the solve that `convergence` runs
   on each level, for configs/gaussian_null.json at n=1024 and every
   coupling, must reproduce the recorded bytes of the final state
-  (SHA-256 pinned below; recorded from the last row of solve_global
-  with weighted=False, which `convergence` ran before).  The
+  (SHA-256 pinned below; recorded from the last row of solve_global,
+  which `convergence` ran before).  The
   sup-differences in convergence.csv do not see a last-bit change of
   the final states: swapping the operand order of the gamma1 coupling
   product changes these bytes but not the csv.
@@ -156,9 +156,7 @@ def _run_case(kind, p) -> dict:
     traj = solve_global(state, 0.5, SolverConfig(slab_T=0.25))
     return {
         "sha256": _sha256(traj.field_traces()),
-        "histories": [
-            [[h["sup"], h["weighted"]] for h in hist] for hist in traj.slab_histories
-        ],
+        "histories": [[h["sup"] for h in hist] for hist in traj.slab_histories],
     }
 
 

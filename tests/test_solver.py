@@ -22,7 +22,7 @@ from csd1d import (
 from csd1d.lattice import shift_values
 import csd1d.solver
 from csd1d.solver import (
-    _iterate_distance,
+    _sup_distance,
     _unit_phase,
     contraction_ratios,
     measured_contraction,
@@ -156,7 +156,6 @@ def test_picard_null_converges_and_matches_march(grid):
     s = bump_state(grid, params, seed=8)
     traj, history = picard_slab(s, SolverConfig(slab_T=0.25))
     assert history[-1]["sup"] < 1e-12
-    assert all("weighted" in h for h in history)
     ref = march(s, traj.n_steps)
     diff = np.abs(traj.psi_plus - ref.psi_plus).max()
     assert diff < 5e-3  # both backends are second order; O(dx^2) apart
@@ -266,7 +265,7 @@ def test_solve_final_state_is_last_row_of_solve_global(kind, backend, n_cells, s
     grid = make_grid(-8.0, 8.0, n_cells)
     s = scale_state(bump_state(grid, ModelParams(alpha=kind, m=1.0, p=2.0), seed=3), scale)
     cfg = SolverConfig(backend=backend, slab_T=slab_T)
-    want = solve_global(s, T, cfg, weighted=False)
+    want = solve_global(s, T, cfg)
     got = solve_final_state(s, T, cfg)
     if backend == "picard" and T > 0:
         assert len(want.slab_histories) > 1
@@ -288,35 +287,14 @@ def test_slab_failure_without_auto_slab_names_the_slab(grid):
     assert "8-step slab" in msg and "auto_slab off" in msg
 
 
-@pytest.mark.parametrize("kind", list(CouplingKind))
-def test_weighted_off_keeps_trajectory_and_sup(kind):
-    # at this size auto_slab must halve the 0.5-long slab, so a rejected
-    # attempt sits between the accepted ones
-    grid = make_grid(-8.0, 8.0, 256)
-    s = scale_state(bump_state(grid, ModelParams(alpha=kind, m=1.0, p=2.0), seed=3), 20.0)
-    cfg = SolverConfig(slab_T=0.5)
-    on = solve_global(s, 0.5, cfg)
-    off = solve_global(s, 0.5, cfg, weighted=False)
-    assert len(on.slab_histories) > 1
-    for name, trace in on.field_traces().items():
-        other = off.field_traces()[name]
-        assert other.dtype == trace.dtype and other.tobytes() == trace.tobytes()
-    sups = lambda traj: [[h["sup"] for h in hist] for hist in traj.slab_histories]
-    assert sups(off) == sups(on)
-    assert all(list(h) == ["sup"] for hist in off.slab_histories for h in hist)
-    assert all(list(h) == ["sup", "weighted"] for hist in on.slab_histories for h in hist)
-
-
 def test_iterate_distance_nan_in_last_field_is_not_converged():
     # a running max(0.0, nan) is 0.0: the NaN must not be dropped
-    grid = make_grid(-1.0, 1.0, 8)
     new = [np.zeros((3, 8), complex), np.zeros((3, 8), complex), np.zeros((3, 8)), np.zeros((3, 8))]
     old = [a.copy() for a in new]
     new[3][1, 4] = np.nan
-    for p in (1.0, 2.0, np.inf):
-        d_sup, _ = _iterate_distance(new, old, grid, p)
-        assert not np.isfinite(d_sup)
-        assert not d_sup < 1e-12
+    d_sup = _sup_distance(new, old)
+    assert not np.isfinite(d_sup)
+    assert not d_sup < 1e-12
 
 
 def test_decomposition_sums_to_march(grid):
