@@ -1,11 +1,12 @@
 """Command line front end.
 
 Exit codes partition the failure modes of every command: 2 for schema
-or usage errors, 3 for iteration failures (`solve` still writes a
-report), 4 for support leaving the grid, and 1 when a check or a
-`verify` trial row fails.
-trajectory.csv and report.json are byte-deterministic for a fixed
-config and seed; wall-clock time lives only in meta.json.
+or usage errors and for an output path that cannot be written, 3 for
+iteration failures (`solve` still writes a report), 4 for support
+leaving the grid, and 1 when a check or a `verify` trial row fails.
+`solve` always writes trajectory.csv, report.json and meta.json; the
+first two are byte-deterministic for a fixed config and seed, and
+wall-clock time lives only in meta.json.
 
 Each whole-trajectory array is released after its last reader.  A
 `solve` holds its trajectory until the artifacts are written; at its
@@ -37,7 +38,7 @@ from .diagnostics import (
     intrinsic_bound_report,
 )
 from .errors import DomainOverflowError, SlabUnderflowError
-from .lattice import row_lp
+from .lattice import quoted, row_lp
 from .solver import solve_decomposed, solve_final_state, solve_global
 from .suites import SUITE_NAMES, run_suite
 from .transport import bilinear_bound_check
@@ -57,9 +58,14 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write text to path, creating its directory; ValueError naming
+    the path when that fails."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {quoted(str(path))}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -209,13 +215,13 @@ def solve(config_path):
     try:
         traj = solve_global(state, cfg.T_final, cfg.solver)
     except SlabUnderflowError as exc:
-        cause = exc.__cause__
         _write_json(out / "report.json", {
             "status": "convergence_failure",
             "message": str(exc),
             "slab_start": exc.slab_start,
             "norms": exc.norms,
-            **_history_doc(getattr(cause, "history", [])),
+            # the ConvergenceFailureError of the failed slab
+            **_history_doc(exc.__cause__.history),
         })
         _write_json(out / "meta.json", _meta(cfg, time.monotonic() - t_start))
         raise
@@ -225,16 +231,14 @@ def solve(config_path):
         checks = _run_checks(cfg, state, traj)
     wall = time.monotonic() - t_start
 
-    if "csv" in cfg.formats:
-        header, rows = _trajectory_rows(traj, cfg.params.p)
-        _write_csv(out / "trajectory.csv", header, rows)
-    if "json" in cfg.formats:
-        _write_json(out / "report.json", {
-            "status": "ok",
-            "checks": checks,
-            "iterate_history": [h for hist in traj.slab_histories for h in hist],
-            "n_slabs": len(traj.slab_histories),
-        })
+    header, rows = _trajectory_rows(traj, cfg.params.p)
+    _write_csv(out / "trajectory.csv", header, rows)
+    _write_json(out / "report.json", {
+        "status": "ok",
+        "checks": checks,
+        "iterate_history": [h for hist in traj.slab_histories for h in hist],
+        "n_slabs": len(traj.slab_histories),
+    })
     _write_json(out / "meta.json", _meta(cfg, wall))
 
     failed = [name for name, rep in checks.items() if not rep["pass"]]

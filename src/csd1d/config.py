@@ -20,7 +20,7 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "build_initial_state"]
 
 DEFAULTS = {
     "run": {"checks": ["charge"], "window_r": None},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
 }
 
 _ALPHA_NAMES = {"gamma0": CouplingKind.NULL_GAMMA0,
@@ -92,7 +92,6 @@ class RunConfig:
     checks: tuple
     window_r: float | None
     out_dir: str
-    formats: tuple
     raw: dict
 
     @classmethod
@@ -147,19 +146,15 @@ class RunConfig:
             window_r = _number(r, "run.window_r", at_least=grid.dx)
 
         _require_keys(doc.get("output", {}), "output", (), tuple(DEFAULTS["output"]))
-        o = {**DEFAULTS["output"], **doc.get("output", {})}
-        if not isinstance(o["formats"], list):
-            raise ConfigError("output.formats must be a list of format names")
-        formats = tuple(o["formats"])
-        for f in formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"output.formats: unknown format {quoted(f)}")
+        out_dir = {**DEFAULTS["output"], **doc.get("output", {})}["directory"]
+        if not (isinstance(out_dir, str) and out_dir):
+            raise ConfigError(f"output.directory must be a non-empty string, got {quoted(out_dir)}")
 
         return cls(
             grid=grid, params=params, data=data, solver=solver,
             T_final=float(T_final), checks=checks,
             window_r=None if window_r is None else float(window_r),
-            out_dir=str(o["directory"]), formats=formats, raw=doc,
+            out_dir=out_dir, raw=doc,
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TriangleMask, lp_norm, row_lp, window_kernel, windowed_mass
+from .lattice import Grid, TriangleMask, lp_norm, row_lp, step_count, window_kernel, windowed_mass
 from .report import EXACT_TOL, RELATIVE_SLACK, DiagnosticReport
 from .solver import (
     DecomposedTrajectory,
@@ -109,7 +109,7 @@ def finite_speed_check(
     grid = data.grid
     if R <= 2 * grid.dx:
         raise ValueError(f"R={R} must exceed a few cells (dx={grid.dx})")
-    steps = int(R / grid.dt)
+    steps = step_count("R", R, grid.dt)
     traj = solve_global(data, steps * grid.dt, cfg)
     leak = _cone_max(TriangleMask(x0=x0, R=R + widen_cells * grid.dx), traj)
     return DiagnosticReport(
@@ -131,7 +131,7 @@ def localization_check(
     cone (a counter-test: the cone then ingests altered data)."""
     grid = data.grid
     cut = data.weighted(TriangleMask(x0=x0 + misalign_cells * grid.dx, R=R).indicator(grid, 0.0))
-    T = int(R / grid.dt) * grid.dt
+    T = step_count("R", R, grid.dt) * grid.dt
     traj_full = solve_global(data, T, cfg)
     traj_cut = solve_global(cut, T, cfg)
     diff = _cone_max(TriangleMask(x0=x0, R=R), traj_full, traj_cut)
@@ -200,7 +200,7 @@ def scaling_check(
     if lam < 1:
         raise ValueError(f"lambda must be a positive integer, got {lam}")
     grid = data.grid
-    steps = int(round(T / grid.dt))
+    steps = step_count("T", T, grid.dt)
     traj = solve_global(data, steps * grid.dt, cfg)
 
     fine = Grid(x_min=grid.x_min, n_cells=lam * grid.n_cells, dx=grid.dx / lam)

@@ -12,16 +12,16 @@ class ConvergenceFailureError(RuntimeError):
     Carries the iterate-difference history so callers can report it.
     """
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history):
         super().__init__(message)
-        self.history = history if history is not None else []
+        self.history = history
 
 
 class SlabUnderflowError(RuntimeError):
     """A slab failed and cannot be shrunk: automatic shrinking hit the
     single-step floor, or auto_slab is off."""
 
-    def __init__(self, message, slab_start=0.0, norms=None):
+    def __init__(self, message, slab_start, norms):
         super().__init__(message)
         self.slab_start = slab_start
-        self.norms = norms or {}
+        self.norms = norms

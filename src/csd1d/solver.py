@@ -30,6 +30,7 @@ at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .lattice import (
     Grid,
     RealField,
     is_finite_number,
-    is_integer,
     lp_norm,
     quoted,
     row_lp,
@@ -118,9 +118,9 @@ class State:
         return State.from_arrays(self.grid, *(v * w for v in self.arrays()), self.params, t=self.t)
 
 
-def initial_size(state: State, p: float | None = None) -> float:
+def initial_size(state: State) -> float:
     """Smallness bookkeeping: twice the summed L^p norms of the data."""
-    p = state.params.p if p is None else p
+    p = state.params.p
     return 2.0 * sum(float(row_lp(np.abs(v), state.grid.dx, p)) for v in state.arrays())
 
 
@@ -128,22 +128,17 @@ def initial_size(state: State, p: float | None = None) -> float:
 class SolverConfig:
     backend: str = "picard"  # "picard" | "march"
     slab_T: float = 0.25
-    picard_tol: float = 1e-12
-    max_picard_iters: int = 50
     auto_slab: bool = True
+    # the Picard stopping rule is part of the scheme, not an option
+    picard_tol: ClassVar[float] = 1e-12
+    max_picard_iters: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.backend not in ("picard", "march"):
             raise ValueError(f"unknown backend {quoted(self.backend)}")
-        for name in ("slab_T", "picard_tol"):
-            value = getattr(self, name)
-            if not (is_finite_number(value) and value > 0):
-                raise ValueError(f"{name} must be a positive number, got {quoted(value)}")
-            object.__setattr__(self, name, float(value))
-        if not (is_integer(self.max_picard_iters) and self.max_picard_iters >= 1):
-            raise ValueError(
-                f"max_picard_iters must be a positive integer, got {quoted(self.max_picard_iters)}"
-            )
+        if not (is_finite_number(self.slab_T) and self.slab_T > 0):
+            raise ValueError(f"slab_T must be a positive number, got {quoted(self.slab_T)}")
+        object.__setattr__(self, "slab_T", float(self.slab_T))
         if not isinstance(self.auto_slab, bool):
             raise ValueError(f"auto_slab must be true or false, got {quoted(self.auto_slab)}")
 
@@ -454,15 +449,15 @@ def picard_slab(initial: State, cfg: SolverConfig, steps: int | None = None):
     return traj, history
 
 
-def contraction_ratios(history, floor: float = 1e-12) -> list[float]:
-    """d_{n+1}/d_n for successive sup differences above the floor,
-    starting from the first pair."""
+def contraction_ratios(history) -> list[float]:
+    """d_{n+1}/d_n for successive sup differences above 1e-12, starting
+    from the first pair."""
     d = [h["sup"] for h in history]
-    return [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > floor and d[i + 1] > floor]
+    return [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 1e-12 and d[i + 1] > 1e-12]
 
 
-def measured_contraction(history, floor: float = 1e-12) -> float:
-    ratios = contraction_ratios(history, floor)
+def measured_contraction(history) -> float:
+    ratios = contraction_ratios(history)
     return max(ratios) if ratios else 0.0
 
 

@@ -22,7 +22,7 @@ from .diagnostics import (
     scaling_check,
 )
 from .errors import ConvergenceFailureError
-from .lattice import make_grid
+from .lattice import make_grid, step_count
 from .physics import CouplingKind, DataSpec, ModelParams, generate_data
 from .report import DiagnosticReport
 from .solver import (
@@ -101,7 +101,7 @@ def _bilinear_trial(trial: int, seed: int) -> list[dict]:
     u_m = generate_data(
         DataSpec(kind="random_bumps", width=0.7, amplitude=1.0,
                  seed=int(rng.integers(2**31)), spread=3.0), grid)
-    steps = int(round(0.5 / grid.dt))
+    steps = step_count("T", 0.5, grid.dt)
     t = np.arange(steps + 1) * grid.dt
 
     def source():
@@ -209,7 +209,7 @@ def _concentration_trial(trial: int, seed: int) -> list[dict]:
     grid = make_grid(-8.0, 8.0, 512)
     params = ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=1.0)
     state = _random_state(grid, params, rng, amplitude=0.4)
-    traj = march(state, int(round(0.5 / grid.dt)))
+    traj = march(state, step_count("T", 0.5, grid.dt))
     rows = []
     prev = None
     for r in (1.0, 0.5, 0.25):

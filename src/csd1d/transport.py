@@ -190,6 +190,5 @@ def bilinear_bound_check(
         lhs=lhs,
         rhs=rhs,
         tolerance=RELATIVE_SLACK * rhs,
-        # the whole slab is measured; the key is kept for report.json's schema
-        metadata={"p": p, "T": T, "n_cells": grid.n_cells, "masked": False},
+        metadata={"p": p, "T": T, "n_cells": grid.n_cells},
     )

@@ -310,13 +310,14 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
     "section,key,value,message",
     [
         ("grid", "n_cells", 128.7, "grid: n_cells must be an integer"),
-        ("output", "formats", "csv", "output.formats must be a list"),
+        ("output", "formats", "csv", "unknown key output.formats"),
         ("model", "m", True, "model.m must be a number"),
         ("run", "T_final", True, "run.T_final must be a positive number"),
         ("run", "seed", "abc", "unknown key run.seed"),
         ("solver", "auto_slab", "false", "solver: auto_slab must be true or false"),
-        ("solver", "max_picard_iters", 2.7, "solver: max_picard_iters must be a positive integer"),
-        ("solver", "max_picard_iters", True, "solver: max_picard_iters must be a positive integer"),
+        # the Picard stopping rule is fixed, not a config key
+        ("solver", "max_picard_iters", 2.7, "unknown key solver.max_picard_iters"),
+        ("solver", "max_picard_iters", True, "unknown key solver.max_picard_iters"),
         ("solver", "slab_T", True, "solver: slab_T must be a positive number"),
         ("data.psi1", "amplitude", "big", "data.psi1.amplitude must be a number"),
         ("data.psi1", "seed", "x", "data.psi1.seed must be an integer"),
@@ -336,15 +337,22 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("model", "p", 10**400, "model.p must be a number >= 1"),
         ("run", "T_final", 10**400, "run.T_final must be a positive number"),
         ("data.psi1", "amplitude", -10**400, "data.psi1.amplitude must be a number"),
+        # not written to a directory named after the value
+        ("output", "directory", [1], "output.directory must be a non-empty string, got [1]"),
+        ("output", "directory", {}, "output.directory must be a non-empty string, got {}"),
+        ("output", "directory", None, "output.directory must be a non-empty string, got None"),
+        ("output", "directory", "", "output.directory must be a non-empty string, got ''"),
     ],
     ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
          "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
          "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string",
          "n_bumps_negative", "n_bumps_over",
          "p_bool", "m_nan", "x_min_bool", "x_max_string", "n_cells_huge", "x_max_huge",
-         "m_huge", "p_huge", "T_final_huge", "amplitude_huge"],
+         "m_huge", "p_huge", "T_final_huge", "amplitude_huge",
+         "directory_list", "directory_dict", "directory_null", "directory_empty"],
 )
-def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
+def test_solve_bad_config_value_exit_2(tmp_path, monkeypatch, section, key, value, message):
+    monkeypatch.chdir(tmp_path)  # a relative output directory lands here
     out = tmp_path / "o"
     doc = base_config(out)
     set_key(doc, section, key, value)
@@ -353,6 +361,23 @@ def test_solve_bad_config_value_exit_2(tmp_path, section, key, value, message):
     assert len(result.output.strip().splitlines()) == 1
     assert message in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "convergence"])
+def test_unwritable_output_directory_exit_2(tmp_path, command):
+    # a directory name longer than the file system allows cannot be made
+    out = tmp_path / ("x" * 300)
+    config = write_config(tmp_path, base_config(out))
+    args = {
+        "solve": ["solve", config],
+        "verify": ["verify", "scaling", "--out", str(out)],
+        "convergence": ["convergence", config],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 120, lines
+    assert lines[0].startswith("error: cannot write ")
 
 
 @pytest.mark.filterwarnings("error")

@@ -95,6 +95,13 @@ def test_finite_speed_rejects_tiny_cone(grid):
         finite_speed_check(s, 0.0, grid.dx, SolverConfig())
 
 
+def test_finite_speed_rejects_radius_off_the_step_lattice(grid):
+    # R = 1.01 is 32.32 steps: the solve must not stop silently at t = 1
+    s = State.zero(grid, ModelParams())
+    with pytest.raises(ValueError, match=r"R=1\.01 is not a multiple of dt"):
+        finite_speed_check(s, 0.0, 1.01, SolverConfig())
+
+
 @pytest.mark.parametrize("backend", ["picard", "march"])
 def test_localization_inside_cone(grid, backend):
     params = ModelParams(alpha=CouplingKind.IDENTITY, m=1.0, p=1.0)

@@ -90,32 +90,32 @@ SOLVE_GOLDEN = {
     "picard": {
         "exit_code": 0,
         "trajectory.csv": "e908a8995a3c27ba70d1b384ab0181d8aeda6bb5750ab5b7576ea5a69ea017f3",
-        "checks": "7f2695c88009d3ad85c021f90bcf835b04f3e3b2788dd081e7eeb6529c7e9bce",
+        "checks": "6be01f23d70ed8908b64f1441bc40e107380ed152cacb35823a3c542166ee98c",
     },
     "march": {
         "exit_code": 1,
         "trajectory.csv": "112ac20eb73b52f35bc7d5315fd04280557f76345a808cb601f1e80e9b751fd0",
-        "checks": "a90bc76b614f394bfbdd323b16755afc205d9a0a76d74ac34cebd2f2e20f970f",
+        "checks": "89557d1e817acec0727b6b7c5c868a6dfe0db1079b8c96e99f5789586fae4159",
     },
     "picard-p1": {
         "exit_code": 0,
         "trajectory.csv": "f9d1cb24e49f4405e8fe8683f5676fa4f693143336ec32177a2c3b42890eadf1",
-        "checks": "37e597e4fc5a58688e6ca82103dff2f175980311c1bff767aa7e91d74d31d411",
+        "checks": "d8c570eb9ffb3119642978d917182092ae4fa1c33076996caf6d929c500359be",
     },
     "picard-pinf": {
         "exit_code": 0,
         "trajectory.csv": "8b1f4747e1c81de91913ebdfe44afadb7ce88f5ecceb9881a5491f38c1a8f488",
-        "checks": "6b3e7ae682308e85df6c548f11e74a1fc0b9402aff518e59427641063c2be166",
+        "checks": "64a4cd33d60b82ec6a7e6efd36cf1bf84b6279b8c55fe9b5e254e80c2ddd1a46",
     },
     "march-p1": {
         "exit_code": 1,
         "trajectory.csv": "016f0e41a3b68bcc5ff83c667d322de23918d22f1e896d4e110dd1d2f579751e",
-        "checks": "480f8f38ad8d69e9824721eec5918e27a738b3d7a856e0970a0d5a38002eb9bf",
+        "checks": "349bff4cff4b72debcf147a546d1c73c57d092f5391c2437d85d0bb0a35c4de7",
     },
     "march-pinf": {
         "exit_code": 1,
         "trajectory.csv": "267597e960efe1b47b01b359e967f210e15ee94a29379c7fef64216d02c36858",
-        "checks": "5bad0003eeae58f1d3fd8e35d2abed29c5d0a22cbee4198b9ca8e17262ab429f",
+        "checks": "a0030db0be9679f253c2be5197e769bd444cc3d559be6d5d08b4317e9049ea32",
     },
 }
 CONVERGENCE_GOLDEN = {
