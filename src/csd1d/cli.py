@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes partition the failure modes of every command: 2 for schema
-or usage errors and for an output path that cannot be written, 3 for
+or usage errors and for an output path that cannot be written (each
+command makes its output directory before it computes), 3 for
 iteration failures (`solve` still writes a report), 4 for support
 leaving the grid, and 1 when a check or a `verify` trial row fails.
 `solve` always writes trajectory.csv, report.json and meta.json; the
@@ -12,8 +13,10 @@ Each whole-trajectory array is released after its last reader.  A
 `solve` holds its trajectory until the artifacts are written; at its
 peak, during the intrinsic check, the decomposed march is alive beside
 it.  Every other check's trajectory-sized arrays are released before
-the next check.  `convergence` stores no trajectory: on the Picard
-backend it holds one slab at a time and keeps each level's final state.
+the next check; the transport behind `bilinear` reads the shifted
+data through a view, so no shifted-data trace is held beside its
+traces.  `convergence` stores no trajectory: on the Picard backend it
+holds one slab at a time and keeps each level's final state.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .diagnostics import (
     intrinsic_bound_report,
 )
 from .errors import DomainOverflowError, SlabUnderflowError
-from .lattice import quoted, row_lp
+from .lattice import quoted, row_lp, step_count
 from .solver import solve_decomposed, solve_final_state, solve_global
 from .suites import SUITE_NAMES, run_suite
 from .transport import bilinear_bound_check
@@ -57,15 +60,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised while writing path into a ValueError
+    naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {quoted(str(path))}: {exc.strerror or exc}") from None
+
+
+def _make_dir(path: Path) -> None:
+    """Create the directory path and its parents, so that a command
+    learns before its computation that it cannot write there."""
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write text to path, creating its directory; ValueError naming
     the path when that fails."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {quoted(str(path))}: {exc.strerror or exc}") from None
+    _make_dir(path.parent)
+    with _writing(path), open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -202,6 +219,17 @@ def _meta(cfg: RunConfig, wall_s: float) -> dict:
     }
 
 
+def _runnable_state(cfg: RunConfig):
+    """The initial state of cfg, once the checks that refuse a config
+    before its solve have passed: the data resolve on the grid, T_final
+    is a multiple of dt and, where Picard slabs will run, so is slab_T.
+    A refused config leaves no output directory behind."""
+    state = build_initial_state(cfg)
+    if step_count("T_final", cfg.T_final, cfg.grid.dt) and cfg.solver.backend == "picard":
+        cfg.solver.slab_steps(cfg.grid)
+    return state
+
+
 @main.command()
 @click.argument("config_path", type=click.Path())
 @_exit_codes()
@@ -210,7 +238,8 @@ def solve(config_path):
     artifacts into the configured output directory."""
     cfg = load_config(config_path)
     out = Path(cfg.out_dir)
-    state = build_initial_state(cfg)
+    state = _runnable_state(cfg)
+    _make_dir(out)
     t_start = time.monotonic()
     try:
         traj = solve_global(state, cfg.T_final, cfg.solver)
@@ -263,6 +292,7 @@ def verify(suite, seed, out_dir, large_m):
     """Run a seeded verification suite and write one CSV row per trial.
 
     Exits 1 when any row fails."""
+    _make_dir(Path(out_dir))
     rows = run_suite(suite, seed, large_m=large_m)
     table = [[r["name"], r["seed"], r["lhs"], r["rhs"], r["margin"], r["pass"]] for r in rows]
     path = Path(out_dir) / f"{suite}.csv"
@@ -288,15 +318,18 @@ def convergence(config_path, levels):
     if levels < 3:
         raise ValueError("--levels must be >= 3")
     cfg = load_config(config_path)
-    finals = []
-    sizes = []
+    level_cfgs = []
     for k in range(levels):
         doc = json.loads(json.dumps(cfg.raw))
         doc["grid"]["n_cells"] = cfg.grid.n_cells * 2**k
-        level_cfg = RunConfig.from_dict(doc)
-        state = build_initial_state(level_cfg)
-        finals.append(solve_final_state(state, level_cfg.T_final, level_cfg.solver))
-        sizes.append(level_cfg.grid.n_cells)
+        level_cfgs.append(RunConfig.from_dict(doc))
+    states = [_runnable_state(level_cfg) for level_cfg in level_cfgs]
+    _make_dir(Path(cfg.out_dir))
+    finals = [
+        solve_final_state(state, level_cfg.T_final, level_cfg.solver)
+        for state, level_cfg in zip(states, level_cfgs)
+    ]
+    sizes = [level_cfg.grid.n_cells for level_cfg in level_cfgs]
 
     diffs = {name: [] for name in FIELD_NAMES}
     for k in range(levels - 1):

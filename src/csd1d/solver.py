@@ -12,7 +12,9 @@ Two backends produce the same trajectories up to second order:
   the initial data held constant in time.  Each iteration appends one
   history entry ``{"sup": d}``: d is the largest change of any field at
   any grid point and time (NaN once any change is), and decides
-  convergence.
+  convergence.  A slab allocates its working memory once: two iterate
+  sets, written in turn, and one complex and one real work array of the
+  iterate shape.  Nothing is reused from one slab to the next.
 * ``march`` advances step by step along characteristics.  The gauge
   term is applied as an exact unimodular phase factor, so the modulus
   of a free spinor and the m = 0 charge are preserved to roundoff.  The
@@ -355,22 +357,27 @@ def solve_decomposed(initial: State, T_final: float, cfg: SolverConfig) -> Decom
 # Picard backend
 
 
-def _sup_distance(new, old) -> float:
+def _sup_distance(new, old, cwork, rwork) -> float:
     """The largest change of any field between two Picard iterates, at
-    any grid point and time.  It is NaN when any field difference is, so
-    a diverged iterate never reads as converged."""
-    return float(np.max([np.abs(a - b).max(initial=0.0) for a, b in zip(new, old)]))
+    any grid point and time, formed in the complex and real work arrays
+    of the iterate shape.  It is NaN when any field difference is, so a
+    diverged iterate never reads as converged."""
+    sups = []
+    for a, b in zip(new, old):
+        diff = cwork if np.iscomplexobj(a) else rwork
+        np.subtract(a, b, out=diff)
+        np.absolute(diff, out=rwork)
+        sups.append(rwork.max(initial=0.0))
+    return float(np.max(sups))
 
 
-def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
+def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, pp, pm):
     """Implicit trapezoidal characteristic march of the spinor pair with
-    a frozen gauge trace; the update is linear in the new iterate."""
-    n = data_p.shape[0]
-    pp = np.empty((K + 1, n), complex)
-    pm = np.empty((K + 1, n), complex)
+    a frozen gauge trace, written into the rows of pp and pm; the update
+    is linear in the new iterate."""
     pp[0], pm[0] = data_p, data_m
     c = 1j * m * 0.5 * dt
-    for i in range(K):
+    for i in range(pp.shape[0] - 1):
         f_p = 1j * am_trace[i] * pp[i] - 1j * m * pm[i]
         f_m = 1j * ap_trace[i] * pm[i] - 1j * m * pp[i]
         b_p = shift_values(pp[i] + 0.5 * dt * f_p, +1)
@@ -380,13 +387,19 @@ def _inner_linear_march(data_p, data_m, ap_trace, am_trace, m, dt, K):
         det = a11 * a22 - c * c
         pp[i + 1] = (a22 * b_p - c * b_m) / det
         pm[i + 1] = (a11 * b_m - c * b_p) / det
-    return pp, pm
 
 
 def _picard(initial: State, K: int, cfg: SolverConfig):
     """Successive approximation on a K-step slab.  Both schemes share
     the gauge update; the spinor update is the integral map for null
-    couplings and the frozen-gauge linear march for the identity."""
+    couplings and the frozen-gauge linear march for the identity.
+
+    A slab's working memory is allocated once: two iterate sets, the
+    current one and the one before, and a complex and a real work array
+    of the iterate shape.  Each iteration writes the new iterate over
+    the one before and swaps the two sets.  The shifted data rows are
+    read-only views of one zero-padded copy of each field.
+    """
     dt = initial.grid.dt
     m, alpha = initial.params.m, initial.params.alpha
     data_p, data_m, data_ap, data_am = initial.arrays()
@@ -399,32 +412,38 @@ def _picard(initial: State, K: int, cfg: SolverConfig):
     else:
         # first iterate: data held constant in time
         it = tuple(np.tile(v, (K + 1, 1)) for v in initial.arrays())
+    spare = tuple(np.empty_like(v) for v in it)
+    cwork = np.empty_like(it[0])
+    rwork = np.empty_like(it[2])
 
-    def spinor_update(pp, pm, ap, am):
-        if not alpha.is_null:
-            return _inner_linear_march(data_p, data_m, ap, am, m, dt, K)
-        f_pp = 1j * (am * pp) - 1j * m * pm
-        f_pm = 1j * (ap * pm) - 1j * m * pp
-        return (
-            characteristic_integral_rows(f_pp, +1, dt, base_pp),
-            characteristic_integral_rows(f_pm, -1, dt, base_pm),
-        )
+    def null_spinor_update(own, other, a, sign, base, out):
+        # 1j * (a * own) - 1j * m * other, operand for operand; the mass
+        # term waits in out until the integral overwrites it
+        np.multiply(a, own, out=cwork)
+        np.multiply(1j, cwork, out=cwork)
+        np.multiply(1j * m, other, out=out)
+        np.subtract(cwork, out, out=cwork)
+        characteristic_integral_rows(cwork, sign, dt, base, out=out)
 
     history = []
     # divergence of the fixed-point map is detected, not a numerical bug;
     # let the iterates overflow quietly and report the history instead
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_picard_iters):
-            P = coupling_values(it[0], it[1], alpha)
-            new = (
-                *spinor_update(*it),
-                characteristic_integral_rows(-P, +1, dt, base_ap),
-                characteristic_integral_rows(P, -1, dt, base_am),
-            )
+            pp, pm, ap, am = it
+            P = coupling_values(pp, pm, alpha)
+            if alpha.is_null:
+                null_spinor_update(pp, pm, am, +1, base_pp, spare[0])
+                null_spinor_update(pm, pp, ap, -1, base_pm, spare[1])
+            else:
+                _inner_linear_march(data_p, data_m, ap, am, m, dt, spare[0], spare[1])
+            np.negative(P, out=rwork)
+            characteristic_integral_rows(rwork, +1, dt, base_ap, out=spare[2])
+            characteristic_integral_rows(P, -1, dt, base_am, out=spare[3])
             del P
-            d_sup = _sup_distance(new, it)
+            d_sup = _sup_distance(spare, it, cwork, rwork)
             history.append({"sup": d_sup})
-            it = new
+            it, spare = spare, it
             if d_sup < cfg.picard_tol:
                 return it, history
     raise ConvergenceFailureError(

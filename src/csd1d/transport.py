@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainOverflowError
-from .lattice import Field, Grid, row_lp, shift_values, step_count
+from .lattice import Field, Grid, row_lp, step_count
 from .report import RELATIVE_SLACK, DiagnosticReport
 
 __all__ = [
@@ -72,38 +73,57 @@ def check_containment(grid: Grid, steps: int, *arrays: np.ndarray) -> None:
         )
 
 
-def characteristic_integral_rows(F_rows: np.ndarray, sign: int, dt: float, base: np.ndarray):
-    """Rows base_i + I_i(x), where I_i is the trapezoid of F along the
-    characteristic reaching (t_i, x) and I_0 = 0.
+# Bytes per bulk block of the characteristic recursion.  Bulk steps over
+# the whole slab fell out of cache and were slower than one row at a time
+# from n = 4096 up; one row at a time paid numpy's per-call cost and was
+# slower below n = 2048.  A block this size stays in cache at every n.
+_BLOCK_BYTES = 256 * 1024
 
-    Each row is built in place with slices, one row at a time so that
-    the working rows stay in cache.  Every cell receives the same sums
-    as a row-by-row shift; the only missing term, 0.0 in the cell the
-    shift fills, is supplied by the base rows, which are zero there for
-    i >= 1.
+
+def characteristic_integral_rows(
+    F_rows: np.ndarray, sign: int, dt: float, base: np.ndarray, out: np.ndarray | None = None
+):
+    """Rows base_i + I_i(x), where I_i is the trapezoid of F along the
+    characteristic reaching (t_i, x) and I_0 = 0, written into out when
+    given (out must not overlap F_rows or base).
+
+    The trapezoid increments of a block of rows are formed with three
+    bulk operations, then each row of the block adds the previous row
+    along the characteristic.  Every cell receives the same sums as a
+    row-by-row shift; the only missing term, 0.0 in the cell the shift
+    fills, is supplied by the base rows, which are zero there for i >= 1.
     """
     dst, src = (np.s_[1:], np.s_[:-1]) if sign > 0 else (np.s_[:-1], np.s_[1:])
     fill = 0 if sign > 0 else -1
-    out = np.empty_like(F_rows)
+    if out is None:
+        out = np.empty_like(F_rows)
     out[0] = 0.0
-    for i in range(1, out.shape[0]):
-        row = out[i]
-        row[dst] = F_rows[i - 1, src]
-        row[fill] = 0.0
-        row += F_rows[i]
-        np.multiply(0.5 * dt, row, out=row)
-        row[dst] += out[i - 1, src]
+    rows = out.shape[0]
+    block = max(1, _BLOCK_BYTES // out[0].nbytes)
+    for lo in range(1, rows, block):
+        hi = min(lo + block, rows)
+        incr = out[lo:hi]
+        incr[:, dst] = F_rows[lo - 1 : hi - 1, src]
+        incr[:, fill] = 0.0
+        incr += F_rows[lo:hi]
+        np.multiply(0.5 * dt, incr, out=incr)
+        for i in range(lo, hi):
+            out[i, dst] += out[i - 1, src]
     out += base
     return out
 
 
 def data_shift_rows(data: np.ndarray, sign: int, K: int) -> np.ndarray:
-    """Rows i = 0..K of the data shifted i cells along the characteristic."""
-    rows = np.empty((K + 1,) + data.shape, dtype=data.dtype)
-    rows[0] = data
-    for i in range(1, K + 1):
-        rows[i] = shift_values(rows[i - 1], sign)
-    return rows
+    """Rows i = 0..K of the data shifted i cells along the characteristic,
+    as a read-only view of one zero-padded copy of the data."""
+    n = data.shape[0]
+    padded = np.zeros(n + K, dtype=data.dtype)
+    if sign > 0:
+        # row i is padded[K - i : K - i + n]
+        padded[K:] = data
+        return sliding_window_view(padded, n)[::-1]
+    padded[:n] = data
+    return sliding_window_view(padded, n)
 
 
 def solve_transport(u0: Field, F: SourceTrace | None, sign: int, steps: int) -> np.ndarray:
@@ -127,7 +147,7 @@ def solve_transport(u0: Field, F: SourceTrace | None, sign: int, steps: int) -> 
     dtype = np.complex128 if complex_out else np.float64
     base = data_shift_rows(u0.values.astype(dtype, copy=False), sign, steps)
     if F is None:
-        return base
+        return base.copy()
     F_rows = F.samples[: steps + 1].astype(dtype, copy=False)
     out = characteristic_integral_rows(F_rows, sign, grid.dt, base)
     out[0] = u0.values  # verbatim: 0.0 + u0 would turn -0.0 into +0.0

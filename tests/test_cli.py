@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import csd1d.cli
 from csd1d.cli import main
 from csd1d.config import ConfigError, RunConfig, load_config
 
@@ -364,15 +365,21 @@ def test_solve_bad_config_value_exit_2(tmp_path, monkeypatch, section, key, valu
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "convergence"])
-def test_unwritable_output_directory_exit_2(tmp_path, command):
-    # a directory name longer than the file system allows cannot be made
+def test_unwritable_output_directory_exit_2(tmp_path, monkeypatch, command):
+    # a directory name longer than the file system allows cannot be made,
+    # and the command learns it before it computes
     out = tmp_path / ("x" * 300)
     config = write_config(tmp_path, base_config(out))
-    args = {
-        "solve": ["solve", config],
-        "verify": ["verify", "scaling", "--out", str(out)],
-        "convergence": ["convergence", config],
+    args, computation = {
+        "solve": (["solve", config], "solve_global"),
+        "verify": (["verify", "scaling", "--out", str(out)], "run_suite"),
+        "convergence": (["convergence", config], "solve_final_state"),
     }[command]
+
+    def never(*_, **__):
+        raise AssertionError(f"{computation} ran before the output directory was made")
+
+    monkeypatch.setattr(csd1d.cli, computation, never)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     lines = result.output.strip().splitlines()
@@ -401,8 +408,9 @@ def test_solve_unevaluable_check_exit_2(tmp_path):
     [
         ("run", "T_final", 0.3, "error: T_final=0.3 is not a multiple of dt=0.125"),
         ("data.psi1", "width", 0.2, "error: feature width 0.2 not resolvable on dx=0.125"),
+        ("solver", "slab_T", 0.3, "error: slab_T=0.3 is not a positive multiple of dt=0.125"),
     ],
-    ids=["T_final_off_lattice", "data_too_narrow"],
+    ids=["T_final_off_lattice", "data_too_narrow", "slab_T_off_lattice"],
 )
 def test_unrunnable_config_exit_2(tmp_path, command, section, key, value, message):
     out = tmp_path / "o"

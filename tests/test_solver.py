@@ -1,6 +1,8 @@
 """Coupled solver backends: marching scheme, Picard iteration, global
 continuation and the linear/nonlinear decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,9 +294,26 @@ def test_iterate_distance_nan_in_last_field_is_not_converged():
     new = [np.zeros((3, 8), complex), np.zeros((3, 8), complex), np.zeros((3, 8)), np.zeros((3, 8))]
     old = [a.copy() for a in new]
     new[3][1, 4] = np.nan
-    d_sup = _sup_distance(new, old)
+    d_sup = _sup_distance(new, old, np.empty((3, 8), complex), np.empty((3, 8)))
     assert not np.isfinite(d_sup)
     assert not d_sup < 1e-12
+
+
+def test_picard_slab_peak_memory():
+    # two iterate sets of 48 bytes a cell, the complex and real work
+    # arrays and the coupling; the shifted data rows are views
+    grid = make_grid(-8.0, 8.0, 1024)
+    s = bump_state(grid, ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=2.0), seed=3)
+    K = SolverConfig().slab_steps(grid)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        picard_slab(s, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    iterate_bytes = (K + 1) * grid.n_cells * 48
+    assert peak <= 3.3 * iterate_bytes, peak / iterate_bytes
 
 
 def test_decomposition_sums_to_march(grid):

@@ -15,7 +15,9 @@ from csd1d import (
     solve_transport,
     spacetime_lp_norm,
 )
+import csd1d.transport
 from csd1d.lattice import shift_values
+from csd1d.transport import characteristic_integral_rows, data_shift_rows
 
 
 def interior_bumps(grid, seed, margin_cells):
@@ -159,3 +161,55 @@ def test_source_trace_validation():
     bad[1, 2] = np.inf
     with pytest.raises(ValueError):
         SourceTrace(g, bad)
+
+
+def _signed_samples(rng, shape, dtype):
+    """Random samples of the dtype with some entries -0.0."""
+    vals = rng.standard_normal(shape)
+    if dtype is complex:
+        vals = vals + 1j * rng.standard_normal(shape)
+    vals[rng.random(shape) < 0.2] = -0.0
+    return vals
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("K", [5, 19])
+def test_data_shift_rows_match_repeated_shifts(dtype, sign, K):
+    # K = 19 shifts a 12-cell grid past its end
+    data = _signed_samples(np.random.default_rng(K), 12, dtype)
+    rows = data_shift_rows(data, sign, K)
+    assert rows.shape == (K + 1, 12) and rows.dtype == data.dtype
+    expected = [data]
+    for _ in range(K):
+        expected.append(shift_values(expected[-1], sign))
+    assert rows.tobytes() == np.array(expected).tobytes()
+    with pytest.raises(ValueError):
+        rows[1, 3] = 1.0
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_characteristic_integral_rows_into_out(monkeypatch, dtype, sign, block_rows):
+    if block_rows is not None:
+        # bulk blocks that end inside the slab, one row and three rows long
+        row_bytes = 16 * np.dtype(dtype).itemsize
+        monkeypatch.setattr(csd1d.transport, "_BLOCK_BYTES", block_rows * row_bytes)
+    rng = np.random.default_rng(7)
+    F = _signed_samples(rng, (9, 16), dtype)
+    base = data_shift_rows(_signed_samples(rng, 16, dtype), sign, 8)
+    dt = 0.125
+    # the trapezoid along the characteristic, one shifted row at a time
+    expected = np.zeros_like(F)
+    for i in range(1, 9):
+        prev = shift_values(expected[i - 1], sign)
+        row = shift_values(F[i - 1], sign) + F[i]
+        expected[i] = prev + 0.5 * dt * row
+    expected += base
+    allocated = characteristic_integral_rows(F, sign, dt, base)
+    buf = np.full_like(F, np.nan)
+    written = characteristic_integral_rows(F, sign, dt, base, out=buf)
+    assert written is buf
+    assert buf.tobytes() == allocated.tobytes()
+    assert np.array_equal(allocated, expected)
