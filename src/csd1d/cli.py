@@ -10,13 +10,16 @@ first two are byte-deterministic for a fixed config and seed, and
 wall-clock time lives only in meta.json.
 
 Each whole-trajectory array is released after its last reader.  A
-`solve` holds its trajectory until the artifacts are written; at its
-peak, during the intrinsic check, the decomposed march is alive beside
-it.  Every other check's trajectory-sized arrays are released before
-the next check; the transport behind `bilinear` reads the shifted
-data through a view, so no shifted-data trace is held beside its
-traces.  `convergence` stores no trajectory: on the Picard backend it
-holds one slab at a time and keeps each level's final state.
+`solve` forms its CSV rows and runs the checks that read the
+trajectory, forms the `bilinear` psi sources and then releases the
+trajectory; `bilinear` runs on the sources, and `intrinsic` runs its
+decomposed march last, once the sources are released too.  Its peak,
+about 2x the trajectory's bytes, is the trajectory beside the sources
+as they are formed, or the decomposed march alone.  The transport
+behind `bilinear` reads the shifted data through a view, so no
+shifted-data trace is held beside its traces.  `convergence` stores no
+trajectory: on the Picard backend it holds one slab at a time and
+keeps each level's final state.
 """
 
 from __future__ import annotations
@@ -180,31 +183,72 @@ def _trajectory_rows(traj, p):
     return header, rows
 
 
-def _run_checks(cfg: RunConfig, state, traj) -> dict:
-    """Report of each configured check; a ValueError names the check
-    that could not be evaluated."""
+# the checks that read the trajectory itself: `bilinear` reads only its
+# psi sources and `intrinsic` a decomposed march of its own
+_TRAJECTORY_CHECKS = ("charge", "envelope", "concentration")
+
+
+def _trajectory_check(check: str, cfg: RunConfig, state, traj):
+    if check == "charge":
+        return charge_series(traj)[1]
+    if check == "envelope":
+        return corollary_envelope_report(traj, cfg.params.p)
+    r = cfg.window_r if cfg.window_r is not None else 16 * cfg.grid.dx
+    return concentration_monitor(traj, float(r), initial=state)[1]
+
+
+def _attempt(check: str, compute, *args):
+    """compute(*args), or the one-line error naming check when it raises
+    a ValueError.  Only the message is kept: the exception's frames
+    would hold their arrays."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        return f"check {check!r}: {exc}"
+
+
+def _solve_and_check(cfg: RunConfig, state):
+    """(slab histories, CSV header, CSV rows, report of each configured
+    check in run.checks order) of the solve of cfg from state.
+
+    The checks run in three phases, so that the trajectory is never
+    alive beside a second trajectory-sized working set: the CSV rows and
+    the checks that read the trajectory; then `bilinear`, on psi sources
+    formed before the trajectory is released; then `intrinsic`, whose
+    decomposed march runs once the sources are released too.  A
+    ValueError names the first check, in run.checks order, that could
+    not be evaluated."""
     p = cfg.params.p
-    out = {}
-    for check in cfg.checks:
-        try:
-            if check == "charge":
-                _, rep = charge_series(traj)
-            elif check == "intrinsic":
+    traj = solve_global(state, cfg.T_final, cfg.solver)
+    histories = traj.slab_histories
+    header, rows = _trajectory_rows(traj, p)
+    order = dict.fromkeys(cfg.checks)  # each check once, in run.checks order
+    reports = {}  # a DiagnosticReport, or the error of a check that could not be evaluated
+    # an overflow surfaces as a non-finite report value, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in order:
+            if check in _TRAJECTORY_CHECKS:
+                reports[check] = _attempt(check, _trajectory_check, check, cfg, state, traj)
+        sources = _attempt("bilinear", traj.psi_source_traces) if "bilinear" in order else None
+        del traj  # bilinear and intrinsic run without it
+        if isinstance(sources, tuple):
+            reports["bilinear"] = _attempt(
+                "bilinear", bilinear_bound_check,
+                state.psi_plus, state.psi_minus, *sources, p, cfg.T_final,
+            )
+        elif sources is not None:  # the error of forming them
+            reports["bilinear"] = sources
+        del sources
+        if "intrinsic" in order:
+            reports["intrinsic"] = _attempt(
+                "intrinsic",
                 # the decomposed march is dropped as soon as the report returns
-                rep = intrinsic_bound_report(solve_decomposed(state, cfg.T_final, cfg.solver), p)
-            elif check == "envelope":
-                rep = corollary_envelope_report(traj, p)
-            elif check == "concentration":
-                r = cfg.window_r if cfg.window_r is not None else 16 * cfg.grid.dx
-                _, rep = concentration_monitor(traj, float(r), initial=state)
-            else:  # bilinear
-                rep = bilinear_bound_check(
-                    state.psi_plus, state.psi_minus, *traj.psi_source_traces(), p, cfg.T_final
-                )
-        except ValueError as exc:
-            raise ValueError(f"check {check!r}: {exc}") from None
-        out[check] = rep.as_dict()
-    return out
+                lambda: intrinsic_bound_report(solve_decomposed(state, cfg.T_final, cfg.solver), p),
+            )
+    for check in order:
+        if isinstance(reports[check], str):
+            raise ValueError(reports[check])
+    return histories, header, rows, {check: reports[check].as_dict() for check in order}
 
 
 def _meta(cfg: RunConfig, wall_s: float) -> dict:
@@ -242,7 +286,7 @@ def solve(config_path):
     _make_dir(out)
     t_start = time.monotonic()
     try:
-        traj = solve_global(state, cfg.T_final, cfg.solver)
+        histories, header, rows, checks = _solve_and_check(cfg, state)
     except SlabUnderflowError as exc:
         _write_json(out / "report.json", {
             "status": "convergence_failure",
@@ -254,19 +298,14 @@ def solve(config_path):
         })
         _write_json(out / "meta.json", _meta(cfg, time.monotonic() - t_start))
         raise
-
-    # an overflow surfaces as a non-finite report value, which is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        checks = _run_checks(cfg, state, traj)
     wall = time.monotonic() - t_start
 
-    header, rows = _trajectory_rows(traj, cfg.params.p)
     _write_csv(out / "trajectory.csv", header, rows)
     _write_json(out / "report.json", {
         "status": "ok",
         "checks": checks,
-        "iterate_history": [h for hist in traj.slab_histories for h in hist],
-        "n_slabs": len(traj.slab_histories),
+        "iterate_history": [h for hist in histories for h in hist],
+        "n_slabs": len(histories),
     })
     _write_json(out / "meta.json", _meta(cfg, wall))
 

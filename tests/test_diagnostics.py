@@ -1,5 +1,8 @@
 """Estimate checks: charge, intrinsic bound, cones, windows, scaling."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,14 @@ from csd1d import (
     solve_global,
     make_grid,
 )
+import csd1d.solver
+from csd1d.config import RunConfig, build_initial_state
+from csd1d.lattice import windowed_mass
+from csd1d.report import EXACT_TOL
 
 from conftest import bump_state
+
+GAUSSIAN_NULL = Path(__file__).parents[1] / "configs" / "gaussian_null.json"
 
 
 def punctured_state(grid, params, seed, x0, R):
@@ -126,6 +135,37 @@ def test_concentration_monitor_envelope(grid):
     assert rep.pass_
     with pytest.raises(ValueError):
         concentration_monitor(traj, 0.5 * grid.dx, initial=s)
+
+
+def _massless_window_mass_departure(alpha):
+    """Largest |window mass of psi_pm(t) - that of its data| over the
+    stored steps of a massless march of configs/gaussian_null.json
+    (n = 512, r = 1, T = 1), the window mass being
+    sup_x int_{|x-y|<r} |psi_pm(t, y)| dy."""
+    doc = json.loads(GAUSSIAN_NULL.read_text())
+    doc["model"].update(alpha=alpha, m=0.0)
+    doc["solver"]["backend"] = "march"
+    cfg = RunConfig.from_dict(doc)
+    data = build_initial_state(cfg)
+    traj = solve_global(data, cfg.T_final, cfg.solver)
+    departure = 0.0
+    for i in range(traj.n_steps + 1):
+        state = traj.state_at(i)
+        for name in ("psi_plus", "psi_minus"):
+            mass = windowed_mass(getattr(state, name), cfg.window_r)
+            departure = max(departure, abs(mass - windowed_mass(getattr(data, name), cfg.window_r)))
+    return departure
+
+
+@pytest.mark.parametrize("alpha", ["gamma0", "gamma1", "identity"])
+def test_massless_march_keeps_each_spinor_window_mass(monkeypatch, alpha):
+    # at m = 0 the gauge term only rotates the phase, so each |psi_pm| is
+    # transported exactly and no window of either spinor gains mass: the
+    # paper's denial of concentration holds as an identity
+    assert _massless_window_mass_departure(alpha) <= EXACT_TOL
+    # the control: a phase factor that is not unimodular breaks it
+    monkeypatch.setattr(csd1d.solver, "_unit_phase", lambda theta: 1 + 1j * theta)
+    assert _massless_window_mass_departure(alpha) > 1e6 * EXACT_TOL
 
 
 def test_concentration_monotone_in_radius(grid):
