@@ -51,8 +51,9 @@ from .transport import bilinear_bound_check
 
 FIELD_NAMES = ("psi_plus", "psi_minus", "a_plus", "a_minus")
 
-# ConfigError is a ValueError; the two solver failures are RuntimeErrors
-_EXIT_CODES = {ValueError: 2, SlabUnderflowError: 3, DomainOverflowError: 4}
+# ConfigError is a ValueError; the two solver failures are RuntimeErrors;
+# a MemoryError is a grid or time span too large to allocate
+_EXIT_CODES = {ValueError: 2, MemoryError: 2, SlabUnderflowError: 3, DomainOverflowError: 4}
 
 
 def _fmt(x) -> str:

@@ -18,8 +18,8 @@ class ConvergenceFailureError(RuntimeError):
 
 
 class SlabUnderflowError(RuntimeError):
-    """A slab failed and cannot be shrunk: automatic shrinking hit the
-    single-step floor, or auto_slab is off."""
+    """A slab failed and cannot be shrunk: slab halving hit the
+    single-step floor."""
 
     def __init__(self, message, slab_start, norms):
         super().__init__(message)

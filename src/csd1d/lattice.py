@@ -89,8 +89,10 @@ def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
 
 def step_count(name: str, T: float, dt: float, positive: bool = False) -> int:
     """T / dt as a whole number of steps; ValueError unless T is a
-    multiple (a positive one, if asked) of dt."""
-    steps = int(round(T / dt))
+    multiple (a positive one, if asked) of dt and T / dt is finite."""
+    ratio = T / dt
+    # a T too large for a finite ratio is far from 0 steps and fails below
+    steps = int(round(ratio)) if np.isfinite(ratio) else 0
     if (positive and steps < 1) or not np.isclose(steps * dt, T, rtol=1e-9, atol=1e-12):
         what = "a positive multiple" if positive else "a multiple"
         raise ValueError(f"{name}={T} is not {what} of dt={dt}")

@@ -24,7 +24,7 @@ Two backends produce the same trajectories up to second order:
   update and the next step's phases.
 
 ``solve_global`` chains converged slabs, shrinking the slab length
-until the measured contraction factor drops below 1/2 when requested;
+until the measured contraction factor drops below 1/2;
 ``solve_final_state`` runs the same slab loop and keeps only the state
 at the end.
 """
@@ -130,8 +130,8 @@ def initial_size(state: State) -> float:
 class SolverConfig:
     backend: str = "picard"  # "picard" | "march"
     slab_T: float = 0.25
-    auto_slab: bool = True
-    # the Picard stopping rule is part of the scheme, not an option
+    # the Picard stopping rule and slab halving are part of the scheme,
+    # not options
     picard_tol: ClassVar[float] = 1e-12
     max_picard_iters: ClassVar[int] = 50
 
@@ -141,8 +141,6 @@ class SolverConfig:
         if not (is_finite_number(self.slab_T) and self.slab_T > 0):
             raise ValueError(f"slab_T must be a positive number, got {quoted(self.slab_T)}")
         object.__setattr__(self, "slab_T", float(self.slab_T))
-        if not isinstance(self.auto_slab, bool):
-            raise ValueError(f"auto_slab must be true or false, got {quoted(self.auto_slab)}")
 
     def slab_steps(self, grid: Grid) -> int:
         return step_count("slab_T", self.slab_T, grid.dt, positive=True)
@@ -484,12 +482,12 @@ def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig):
     """Yield (done, slab, history) for each accepted Picard slab of a
     total_steps > 0 solve, done being the steps before the slab.
 
-    With auto_slab the slab length is halved whenever an iteration fails
-    to converge or its measured contraction factor is >= 1/2, mirroring
-    the role of the implicit smallness-of-T condition; SlabUnderflowError
-    ends a failure at the single-step floor or without auto_slab.  Each
-    slab, rejected or accepted, is dropped here before the next slab's
-    solve; a consumer must drop its own reference too.
+    The slab length is halved whenever an iteration fails to converge or
+    its measured contraction factor is >= 1/2, mirroring the role of the
+    implicit smallness-of-T condition; SlabUnderflowError ends a failure
+    at the single-step floor.  Each slab, rejected or accepted, is
+    dropped here before the next slab's solve; a consumer must drop its
+    own reference too.
     """
     slab_steps = min(cfg.slab_steps(initial.grid), total_steps)
     done = 0
@@ -498,22 +496,17 @@ def _accepted_slabs(initial: State, total_steps: int, cfg: SolverConfig):
         k = min(slab_steps, total_steps - done)
         try:
             piece, history = picard_slab(cur, cfg, steps=k)
-            if cfg.auto_slab and k > 1 and measured_contraction(history) >= 0.5:
+            if k > 1 and measured_contraction(history) >= 0.5:
                 del piece  # not kept alive through the retry
                 raise ConvergenceFailureError("contraction factor >= 1/2", history=history)
         except ConvergenceFailureError as exc:
-            if not cfg.auto_slab or k <= 1:
+            if k <= 1:
                 norms = {
                     name: lp_norm(getattr(cur, name), cur.params.p)
                     for name in ("psi_plus", "psi_minus", "a_plus", "a_minus")
                 }
-                where = (
-                    "at the single-step floor"
-                    if k <= 1
-                    else f"with a {k}-step slab and auto_slab off"
-                )
                 raise SlabUnderflowError(
-                    f"slab starting at t={cur.t:.6g} failed {where}: {exc}",
+                    f"slab starting at t={cur.t:.6g} failed at the single-step floor: {exc}",
                     slab_start=cur.t,
                     norms=norms,
                 ) from exc

@@ -161,7 +161,7 @@ def _contraction_trial(trial: int, seed: int, large_m: bool = False) -> list[dic
     state = _scaled_to_size(
         _random_state(grid, params, rng, amplitude=0.5), 300.0 if large_m else 0.05
     )
-    cfg = SolverConfig(slab_T=0.25, auto_slab=False)
+    cfg = SolverConfig(slab_T=0.25)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             _, history = picard_slab(state, cfg)

@@ -307,7 +307,7 @@ def test_criterion_10_global_continuation():
     for n in (1024, 2048):
         g = make_grid(-8.0, 8.0, n)
         s = scale_to(bump_state(g, params, seed=600, spread=2.5), 20.0)
-        traj = solve_global(s, 2.0, SolverConfig(slab_T=0.25, auto_slab=True))
+        traj = solve_global(s, 2.0, SolverConfig(slab_T=0.25))
         consts.append(corollary_envelope_report(traj, 1.0).metadata["C"])
         traj_fine = (traj, s)
     stable = abs(consts[0] - consts[1]) / consts[1] <= 0.05

@@ -226,9 +226,9 @@ def test_solve_convergence_failure_exit_3_writes_report(tmp_path):
     doc = base_config(out)
     for k in ("psi1", "psi2"):
         doc["data"][k]["amplitude"] = 500.0
-    doc["solver"] = {"auto_slab": False}
     result = CliRunner().invoke(main, ["solve", write_config(tmp_path, doc)])
     assert result.exit_code == 3
+    assert "failed at the single-step floor" in result.output
     report = strict_json((out / "report.json").read_text())
     assert report["status"] == "convergence_failure"
     assert report["iterate_history"]
@@ -315,8 +315,8 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("model", "m", True, "model.m must be a number"),
         ("run", "T_final", True, "run.T_final must be a positive number"),
         ("run", "seed", "abc", "unknown key run.seed"),
-        ("solver", "auto_slab", "false", "solver: auto_slab must be true or false"),
-        # the Picard stopping rule is fixed, not a config key
+        # slab halving and the Picard stopping rule are fixed, not config keys
+        ("solver", "auto_slab", False, "unknown key solver.auto_slab"),
         ("solver", "max_picard_iters", 2.7, "unknown key solver.max_picard_iters"),
         ("solver", "max_picard_iters", True, "unknown key solver.max_picard_iters"),
         ("solver", "slab_T", True, "solver: slab_T must be a positive number"),
@@ -338,6 +338,11 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("model", "p", 10**400, "model.p must be a number >= 1"),
         ("run", "T_final", 10**400, "run.T_final must be a positive number"),
         ("data.psi1", "amplitude", -10**400, "data.psi1.amplitude must be a number"),
+        # T / dt overflows a float
+        ("run", "T_final", 1e308, "error: T_final=1e+308 is not a multiple of dt=0.0625"),
+        ("solver", "slab_T", 1e308, "error: slab_T=1e+308 is not a positive multiple of dt"),
+        # over 2^57 bytes, so numpy refuses it without touching memory
+        ("grid", "n_cells", 10**17, "error: Unable to allocate"),
         # not written to a directory named after the value
         ("output", "directory", [1], "output.directory must be a non-empty string, got [1]"),
         ("output", "directory", {}, "output.directory must be a non-empty string, got {}"),
@@ -345,11 +350,12 @@ def test_solve_bad_window_r_exit_2(tmp_path, window_r):
         ("output", "directory", "", "output.directory must be a non-empty string, got ''"),
     ],
     ids=["n_cells_float", "formats_string", "m_bool", "T_final_bool", "seed",
-         "auto_slab_string", "max_picard_iters_float", "max_picard_iters_bool",
+         "auto_slab_unknown", "max_picard_iters_float", "max_picard_iters_bool",
          "slab_T_bool", "amplitude_string", "data_seed_string", "n_bumps_string",
          "n_bumps_negative", "n_bumps_over",
          "p_bool", "m_nan", "x_min_bool", "x_max_string", "n_cells_huge", "x_max_huge",
          "m_huge", "p_huge", "T_final_huge", "amplitude_huge",
+         "T_final_overflow", "slab_T_overflow", "n_cells_unallocatable",
          "directory_list", "directory_dict", "directory_null", "directory_empty"],
 )
 def test_solve_bad_config_value_exit_2(tmp_path, monkeypatch, section, key, value, message):

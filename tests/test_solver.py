@@ -231,7 +231,7 @@ def test_auto_slab_shrinks_for_moderate_data(grid):
     s = bump_state(grid, params, seed=14)
     s = scale_state(s, 40.0 / initial_size(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = solve_global(s, 0.25, SolverConfig(slab_T=0.25, auto_slab=True))
+        traj = solve_global(s, 0.25, SolverConfig(slab_T=0.25))
     assert traj.n_steps == 8
     assert len(traj.slab_histories) > 1  # forced to subdivide
 
@@ -242,7 +242,7 @@ def test_slab_underflow_reports_norms(grid):
     s = scale_state(s, 1e6 / initial_size(s))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SlabUnderflowError) as exc_info:
-            solve_global(s, 0.25, SolverConfig(slab_T=0.25, auto_slab=True))
+            solve_global(s, 0.25, SolverConfig(slab_T=0.25))
     err = exc_info.value
     assert err.slab_start == pytest.approx(0.0)
     assert set(err.norms) == {"psi_plus", "psi_minus", "a_plus", "a_minus"}
@@ -253,7 +253,7 @@ def test_slab_underflow_reports_norms(grid):
 @pytest.mark.parametrize(
     "backend,n_cells,scale,slab_T,T",
     [
-        # auto_slab halves the 0.5-long Picard slab here, so a rejected
+        # the solver halves the 0.5-long Picard slab here, so a rejected
         # attempt sits between the accepted ones
         ("picard", 256, 20.0, 0.5, 0.5),
         ("picard", 256, 20.0, 0.5, 0.0),
@@ -274,19 +274,6 @@ def test_solve_final_state_is_last_row_of_solve_global(kind, backend, n_cells, s
     assert got.t == want.final_state.t
     for a, b in zip(got.arrays(), want.final_state.arrays()):
         assert a.tobytes() == b.tobytes()
-
-
-def test_slab_failure_without_auto_slab_names_the_slab(grid):
-    # the slab is 8 steps long, not at the floor: the message must say so
-    params = ModelParams(alpha=CouplingKind.NULL_GAMMA0, m=1.0, p=1.0)
-    s = bump_state(grid, params, seed=15)
-    s = scale_state(s, 1e6 / initial_size(s))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SlabUnderflowError) as exc_info:
-            solve_global(s, 0.25, SolverConfig(slab_T=0.25, auto_slab=False))
-    msg = str(exc_info.value)
-    assert "single-step floor" not in msg
-    assert "8-step slab" in msg and "auto_slab off" in msg
 
 
 def test_iterate_distance_nan_in_last_field_is_not_converged():
